@@ -26,7 +26,6 @@ from .errors import (
     CutoffTooSmall,
     DimensionMismatch,
     NumberExceedsCutoff,
-    QuadratureNotConverged,
     SignResolutionFailed,
     TruncationLoss,
     UnsupportedInput,
@@ -36,13 +35,13 @@ from .fock import (
     DensityMatrix,
     StateSpec,
     _exp_quadratic_raising,
-    annihilation_matrix,
     density_from_vector,
+    ladder_diagonal,
     ordered_gaussian_kernel,
     state_vector,
 )
 from .oracle import ComplexGrid
-from .phase_space import PFunctionAnalytic
+from .phase_space import PFunctionAnalytic, integrate_with_refinement
 from .special import moment_term_coefficients
 
 #: outputs whose trace falls below this are rejected as truncation losses
@@ -51,8 +50,8 @@ TRACE_FLOOR = 0.999
 #: sign resolution accepts a trace within this distance of 1
 SIGN_TRACE_TOL = 1e-3
 
-#: default bound for grid-refinement convergence of the P-integral route
-QUADRATURE_REFINEMENT_TOL = 1e-5
+#: the squeezed closed form refuses |squeeze| above this for cutoff adequacy
+MAX_SQUEEZE = 2.0
 
 
 def _validate_tau(tau: float) -> float:
@@ -68,6 +67,22 @@ def default_kraus_max_index(tau: float, dim: int) -> int:
     return int(math.ceil(10.0 * tau / (tau + 1.0) * math.sqrt(dim))) + 8
 
 
+def _kraus_band(m: int, n: int, tau: float, dim: int) -> np.ndarray:
+    """The one nonzero band of M_{m,n}: for 0 <= k < dim - max(m, n), entry
+    (k+m, k+n) is pref (1+tau)^-k sqrt((k+m)!/k!) sqrt((k+n)!/k!), the ladder
+    factors taken as products of sqrt(k+i)."""
+    pref = math.sqrt(
+        tau ** (m + n)
+        / (math.factorial(m) * math.factorial(n) * (tau + 1.0) ** (m + n + 1))
+    )
+    k = np.arange(dim - max(m, n))
+
+    def rise(p: int) -> np.ndarray:
+        return np.sqrt(k[:, None] + np.arange(1, p + 1)).prod(axis=1)
+
+    return pref * (1.0 / (1.0 + tau)) ** k * rise(m) * rise(n)
+
+
 def kraus_operator(m: int, n: int, tau: float, dim: int) -> np.ndarray:
     """M_{m,n} = sqrt(tau^(m+n) / (m! n! (tau+1)^(m+n+1)))
     a'^m (1/(1+tau))^(a'a) a^n on the truncated basis."""
@@ -80,15 +95,11 @@ def kraus_operator(m: int, n: int, tau: float, dim: int) -> np.ndarray:
                 f"at tau=0 only M_00 exists; requested ({m}, {n})"
             )
         return np.eye(dim, dtype=np.complex128)
-    pref = math.sqrt(
-        tau ** (m + n)
-        / (math.factorial(m) * math.factorial(n) * (tau + 1.0) ** (m + n + 1))
-    )
-    a = annihilation_matrix(dim)
-    ad = a.conj().T
-    damp = (1.0 / (1.0 + tau)) ** np.arange(dim)
-    op = np.linalg.matrix_power(ad, m) @ (damp[:, None] * np.linalg.matrix_power(a, n))
-    return pref * op
+    op = np.zeros((dim, dim), dtype=np.complex128)
+    band = _kraus_band(m, n, tau, dim)
+    k = np.arange(band.size)
+    op[k + m, k + n] = band
+    return op
 
 
 @dataclass(frozen=True)
@@ -121,29 +132,16 @@ def build_kraus_set(tau: float, max_index: int, dim: int) -> KrausSet:
     if dim <= max_index:
         raise CutoffTooSmall(f"dim={dim} must exceed max_index={max_index}")
 
-    a = annihilation_matrix(dim)
-    ad = a.conj().T
-    damp = (1.0 / (1.0 + tau)) ** np.arange(dim)
-
-    ad_pow = [np.eye(dim, dtype=np.complex128)]
-    for _ in range(max_index):
-        ad_pow.append(ad_pow[-1] @ ad)
-    a_pow = [p.conj().T for p in ad_pow]
-
-    ops = np.empty((max_index + 1, max_index + 1, dim, dim), dtype=np.complex128)
+    ops = np.zeros((max_index + 1, max_index + 1, dim, dim), dtype=np.complex128)
+    # each column of M_{m,n} has one entry, so sum M'M is diagonal
+    gram_diag = np.zeros(dim)
     for m in range(max_index + 1):
         for n in range(max_index + 1):
-            pref = math.sqrt(
-                tau ** (m + n)
-                / (math.factorial(m) * math.factorial(n) * (tau + 1.0) ** (m + n + 1))
-            )
-            ops[m, n] = pref * (ad_pow[m] @ (damp[:, None] * a_pow[n]))
-
-    gram = np.zeros((dim, dim), dtype=np.complex128)
-    for m in range(max_index + 1):
-        for n in range(max_index + 1):
-            op = ops[m, n]
-            gram += op.conj().T @ op
+            band = _kraus_band(m, n, tau, dim)
+            k = np.arange(band.size)
+            ops[m, n, k + m, k + n] = band
+            gram_diag[k + n] += band**2
+    gram = np.diag(gram_diag.astype(np.complex128))
     return KrausSet(tau=tau, max_index=max_index, dim=dim, operators=ops, gram=gram)
 
 
@@ -217,17 +215,12 @@ def number_output(l: int, tau: float, dim: int) -> DensityMatrix:
         return density_from_vector(
             state_vector(StateSpec.number(l), dim), label="closed_form"
         )
-    a = annihilation_matrix(dim)
-    ad = a.conj().T
     thermal = (tau / (tau + 1.0)) ** np.arange(dim)
-    rho = np.zeros((dim, dim), dtype=np.complex128)
+    diag = np.zeros(dim)
     for k in range(l + 1):
         coeff = math.comb(l, k) / math.factorial(k) / (tau * (tau + 1.0)) ** k
-        term = np.linalg.matrix_power(ad, k) @ (
-            thermal[:, None] * np.linalg.matrix_power(a, k)
-        )
-        rho += coeff * term
-    rho *= tau**l / (tau + 1.0) ** (l + 1)
+        diag += coeff * ladder_diagonal(thermal, k)
+    rho = np.diag((tau**l / (tau + 1.0) ** (l + 1)) * diag).astype(np.complex128)
     _check_trace(rho, "number closed form")
     return DensityMatrix(rho, label="closed_form")
 
@@ -246,6 +239,17 @@ def _squeezed_body(lambda_: float, tau: float, dim: int) -> np.ndarray:
     return (1.0 / math.cosh(lambda_)) / math.sqrt(big_g) * body
 
 
+def _unit_trace_sign(trace: float, context: str) -> int:
+    """The sign s in {+1, -1} with s * trace within SIGN_TRACE_TOL of 1."""
+    plus_ok = abs(trace - 1.0) <= SIGN_TRACE_TOL
+    minus_ok = abs(-trace - 1.0) <= SIGN_TRACE_TOL
+    if plus_ok == minus_ok:
+        raise SignResolutionFailed(
+            f"{context}: unsigned trace {trace:.6f} admits no unique sign"
+        )
+    return 1 if plus_ok else -1
+
+
 def resolve_squeezed_sign(lambda_: float, tau: float, dim: int) -> int:
     """Overall sign making the squeezed closed form a unit-trace state.
 
@@ -256,22 +260,17 @@ def resolve_squeezed_sign(lambda_: float, tau: float, dim: int) -> int:
     if tau == 0:
         return 1
     tr = float(np.trace(_squeezed_body(lambda_, tau, dim)).real)
-    plus_ok = abs(tr - 1.0) <= SIGN_TRACE_TOL
-    minus_ok = abs(-tr - 1.0) <= SIGN_TRACE_TOL
-    if plus_ok == minus_ok:
-        raise SignResolutionFailed(
-            f"unsigned trace {tr:.6f} admits no unique sign at lambda={lambda_}, "
-            f"tau={tau}, dim={dim}"
-        )
-    return 1 if plus_ok else -1
+    return _unit_trace_sign(
+        tr, f"squeezed closed form at lambda={lambda_}, tau={tau}, dim={dim}"
+    )
 
 
 def squeezed_output(lambda_: float, tau: float, dim: int) -> DensityMatrix:
     """Closed-form diffused squeezed vacuum (a squeezed thermal state)."""
     tau = _validate_tau(tau)
     lambda_ = float(lambda_)
-    if abs(lambda_) > 2.0:
-        raise ValueError(f"|lambda| must be <= 2 for cutoff adequacy, got {lambda_}")
+    if abs(lambda_) > MAX_SQUEEZE:
+        raise ValueError(f"|lambda| must be <= {MAX_SQUEEZE} for cutoff adequacy, got {lambda_}")
     if tau == 0:
         return density_from_vector(
             state_vector(StateSpec.squeezed_vacuum(lambda_), dim), label="closed_form"
@@ -330,15 +329,7 @@ def evolve_via_p_integral(
             out += c * _diffusion_kernel(alpha, tau, dim)
         return out
 
-    rho = assemble(grid)
-    if check_convergence:
-        refined = assemble(grid.refined())
-        change = float(np.max(np.abs(refined - rho)))
-        if change > QUADRATURE_REFINEMENT_TOL:
-            raise QuadratureNotConverged(
-                f"doubling the grid moved the result by {change:.3e} > "
-                f"{QUADRATURE_REFINEMENT_TOL:.1e}"
-            )
+    rho = integrate_with_refinement(assemble, grid, check_convergence)
     _check_trace(rho, "p-integral")
     return DensityMatrix(rho, label="p_integral")
 
@@ -404,16 +395,13 @@ def evolve_via_husimi_integral(
     elif spec.kind == "number":
         l = spec.l
         lam = -(xi_op * eta_op) / zeta - 1.0 / tau
-        kernel0 = ordered_gaussian_kernel(lam, 0.0, 0.0, dim)
-        a = annihilation_matrix(dim)
-        ad = a.conj().T
+        kernel0 = np.diag(ordered_gaussian_kernel(lam, 0.0, 0.0, dim))
         pref = (-1.0 / tau) * (-1.0) ** l / math.factorial(l)
-        rho = np.zeros((dim, dim), dtype=np.complex128)
+        diag = np.zeros(dim, dtype=np.complex128)
         for k, coeff in moment_term_coefficients(l, l, zeta):
             p = l - k
-            term = np.linalg.matrix_power(ad, p) @ kernel0 @ np.linalg.matrix_power(a, p)
-            rho += coeff * (xi_op**p) * (eta_op**p) * term
-        rho = pref * rho
+            diag += coeff * (xi_op**p) * (eta_op**p) * ladder_diagonal(kernel0, p)
+        rho = np.diag(pref * diag)
 
     else:  # squeezed_vacuum
         th = math.tanh(spec.squeeze)
@@ -430,14 +418,8 @@ def evolve_via_husimi_integral(
         diag = (1.0 + lam) ** np.arange(dim)
         body = (up * diag[None, :]) @ down
         unsigned = (1.0 / math.cosh(spec.squeeze) / tau) * body / math.sqrt(denom)
-        tr = float(np.trace(unsigned).real)
-        plus_ok = abs(tr - 1.0) <= SIGN_TRACE_TOL
-        minus_ok = abs(-tr - 1.0) <= SIGN_TRACE_TOL
-        if plus_ok == minus_ok:
-            raise SignResolutionFailed(
-                f"cross-element route trace {tr:.6f} admits no unique sign"
-            )
-        rho = unsigned if plus_ok else -unsigned
+        sign = _unit_trace_sign(float(np.trace(unsigned).real), "cross-element route")
+        rho = sign * unsigned
 
     _check_trace(rho, "cross-element route")
     return DensityMatrix(rho, label="husimi_integral")

@@ -9,11 +9,12 @@ Exit codes: 0 success, 2 schema error, 3 tolerance failure,
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -37,6 +38,7 @@ from .fock import (
 )
 from .oracle import ComplexGrid, integrate_master_equation
 from .channel import (
+    MAX_SQUEEZE,
     build_kraus_set,
     coherent_output,
     completeness_residual,
@@ -78,8 +80,6 @@ class ScenarioConfig:
     grid: ComplexGrid
     outputs: tuple
     output_dir: str
-    seed: int
-    raw: dict = field(repr=False, default_factory=dict)
 
 
 @dataclass
@@ -113,16 +113,37 @@ def _require_keys(obj: dict, allowed: set, required: set, path: str) -> None:
             raise SchemaError(f"{path}.{key}" if path else key, "missing required key")
 
 
+def _is_real(value) -> bool:
+    """A finite JSON number; true/false, NaN and +-Infinity are not."""
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max
+    )
+
+
+def _parse_real(value, path: str) -> float:
+    if not _is_real(value):
+        raise SchemaError(path, "expected a finite real number")
+    return float(value)
+
+
+def _parse_int(value, path: str, low: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise SchemaError(path, f"expected an integer >= {low}")
+    return value
+
+
 def _parse_complex(value, path: str) -> complex:
-    if isinstance(value, (int, float)):
+    if _is_real(value):
         return complex(value)
     if (
         isinstance(value, list)
         and len(value) == 2
-        and all(isinstance(v, (int, float)) for v in value)
+        and all(_is_real(v) for v in value)
     ):
         return complex(value[0], value[1])
-    raise SchemaError(path, "expected a number or a [re, im] pair")
+    raise SchemaError(path, "expected a finite number or a [re, im] pair")
 
 
 def _parse_input(obj, path: str) -> StateSpec:
@@ -136,14 +157,10 @@ def _parse_input(obj, path: str) -> StateSpec:
         return StateSpec.coherent(_parse_complex(obj["z"], f"{path}.z"))
     if kind == "number":
         _require_keys(obj, {"kind", "l"}, {"kind", "l"}, path)
-        if not isinstance(obj["l"], int) or obj["l"] < 0:
-            raise SchemaError(f"{path}.l", "expected a nonnegative integer")
-        return StateSpec.number(obj["l"])
+        return StateSpec.number(_parse_int(obj["l"], f"{path}.l", 0))
     if kind == "squeezed_vacuum":
         _require_keys(obj, {"kind", "squeeze"}, {"kind", "squeeze"}, path)
-        if not isinstance(obj["squeeze"], (int, float)):
-            raise SchemaError(f"{path}.squeeze", "expected a real number")
-        return StateSpec.squeezed_vacuum(float(obj["squeeze"]))
+        return StateSpec.squeezed_vacuum(_parse_real(obj["squeeze"], f"{path}.squeeze"))
     raise SchemaError(f"{path}.kind", f"unknown state kind {kind!r}")
 
 
@@ -169,7 +186,7 @@ def parse_config(text: str) -> ScenarioConfig:
 
     allowed = {
         "input", "tau_values", "cutoff_dim", "kraus_max_index",
-        "routes", "grid", "outputs", "output_dir", "seed",
+        "routes", "grid", "outputs", "output_dir",
     }
     _require_keys(raw, allowed, {"input", "tau_values", "routes"}, "")
 
@@ -178,12 +195,12 @@ def parse_config(text: str) -> ScenarioConfig:
     taus = raw["tau_values"]
     if not isinstance(taus, list) or not taus:
         raise SchemaError("tau_values", "expected a non-empty list")
+    taus = tuple(_parse_real(t, f"tau_values[{i}]") for i, t in enumerate(taus))
     for i, t in enumerate(taus):
-        if not isinstance(t, (int, float)) or t < 0:
+        if t < 0:
             raise SchemaError(f"tau_values[{i}]", "expected a real number >= 0")
     if any(b <= a for a, b in zip(taus, taus[1:])):
         raise SchemaError("tau_values", "values must be strictly ascending")
-    taus = tuple(float(t) for t in taus)
 
     routes = raw["routes"]
     if not isinstance(routes, list) or not routes:
@@ -197,22 +214,22 @@ def parse_config(text: str) -> ScenarioConfig:
         raise UnsupportedRouteForInput(
             "p_integral needs an analytic P-function; only coherent inputs are supported"
         )
+    if "closed_form" in routes and abs(spec.squeeze) > MAX_SQUEEZE:
+        raise UnsupportedRouteForInput(f"closed_form needs |squeeze| <= {MAX_SQUEEZE}")
     routes = tuple(routes)
 
     grid_obj = raw.get("grid", {})
     if not isinstance(grid_obj, dict):
         raise SchemaError("grid", "expected an object")
     _require_keys(grid_obj, {"radius", "points_per_axis", "rule"}, set(), "grid")
-    radius = grid_obj.get("radius", 7.0)
-    points = grid_obj.get("points_per_axis", 64)
+    radius = _parse_real(grid_obj.get("radius", 7.0), "grid.radius")
+    points = _parse_int(grid_obj.get("points_per_axis", 64), "grid.points_per_axis", 16)
     rule = grid_obj.get("rule", "gauss_legendre_tensor")
-    if not isinstance(radius, (int, float)) or radius <= 0:
+    if radius <= 0:
         raise SchemaError("grid.radius", "expected a positive number")
-    if not isinstance(points, int) or points < 16:
-        raise SchemaError("grid.points_per_axis", "expected an integer >= 16")
     if rule not in ("midpoint", "gauss_legendre_tensor"):
         raise SchemaError("grid.rule", f"unknown rule {rule!r}")
-    grid = ComplexGrid(radius=float(radius), points_per_axis=points, rule=rule)
+    grid = ComplexGrid(radius=radius, points_per_axis=points, rule=rule)
 
     outputs = raw.get("outputs", ["report"])
     if not isinstance(outputs, list):
@@ -228,29 +245,24 @@ def parse_config(text: str) -> ScenarioConfig:
     if not isinstance(output_dir, str):
         raise SchemaError("output_dir", "expected a string")
 
-    seed = raw.get("seed", 0)
-    if not isinstance(seed, int):
-        raise SchemaError("seed", "expected an integer")
-
     cutoff = raw.get("cutoff_dim", "auto")
     if cutoff == "auto":
-        dim = _resolve_auto_dim(spec, max(taus), "kraus" in routes)
-    elif isinstance(cutoff, int) and cutoff >= 2:
-        dim = cutoff
+        try:
+            dim = _resolve_auto_dim(spec, max(taus), "kraus" in routes)
+        except OverflowError as exc:
+            raise SchemaError("cutoff_dim", f'"auto" cannot size this input: {exc}') from exc
     else:
-        raise SchemaError("cutoff_dim", 'expected an integer >= 2 or "auto"')
+        dim = _parse_int(cutoff, "cutoff_dim", 2)
     if spec.kind == "number" and spec.l >= dim:
         raise SchemaError("cutoff_dim", f"cutoff {dim} cannot hold number state l={spec.l}")
 
     kmax_raw = raw.get("kraus_max_index", "auto")
     if kmax_raw == "auto":
         kmax = None
-    elif isinstance(kmax_raw, int) and kmax_raw >= 1:
-        kmax = kmax_raw
+    else:
+        kmax = _parse_int(kmax_raw, "kraus_max_index", 1)
         if kmax >= dim:
             raise SchemaError("kraus_max_index", f"must be below cutoff_dim={dim}")
-    else:
-        raise SchemaError("kraus_max_index", 'expected an integer >= 1 or "auto"')
 
     return ScenarioConfig(
         input=spec,
@@ -261,8 +273,6 @@ def parse_config(text: str) -> ScenarioConfig:
         grid=grid,
         outputs=outputs,
         output_dir=output_dir,
-        seed=seed,
-        raw=raw,
     )
 
 
@@ -434,7 +444,6 @@ def run_scenario(cfg: ScenarioConfig, threads: int = 0) -> EvolutionReport:
             },
             "outputs": list(cfg.outputs),
             "output_dir": cfg.output_dir,
-            "seed": cfg.seed,
         },
         metadata={
             "qdiffusion_version": __version__,
@@ -507,18 +516,7 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(text)
         if args.output_dir is not None:
-            cfg = ScenarioConfig(
-                input=cfg.input,
-                tau_values=cfg.tau_values,
-                cutoff_dim=cfg.cutoff_dim,
-                kraus_max_index=cfg.kraus_max_index,
-                routes=cfg.routes,
-                grid=cfg.grid,
-                outputs=cfg.outputs,
-                output_dir=args.output_dir,
-                seed=cfg.seed,
-                raw=cfg.raw,
-            )
+            cfg = dataclasses.replace(cfg, output_dir=args.output_dir)
         report = run_scenario(cfg, threads=args.threads)
     except (SchemaError, UnsupportedRouteForInput) as exc:
         print(f"error: {exc}", file=sys.stderr)

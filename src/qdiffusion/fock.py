@@ -43,12 +43,6 @@ def creation_matrix(dim: int) -> np.ndarray:
     return annihilation_matrix(dim).conj().T
 
 
-def number_diagonal(dim: int) -> np.ndarray:
-    """Diagonal of the photon-number operator a'a."""
-    _validate_dim(dim)
-    return np.arange(dim, dtype=np.float64)
-
-
 @dataclass(frozen=True)
 class StateSpec:
     """One of the supported input states: coherent(z), number(l), squeezed_vacuum(squeeze)."""
@@ -125,13 +119,10 @@ def state_vector(spec: StateSpec, dim: int) -> np.ndarray:
         v[spec.l] = 1.0
         return v
 
-    v = np.zeros(dim, dtype=np.complex128)
     if spec.kind == "coherent":
-        z = complex(spec.z)
-        v[0] = math.exp(-0.5 * abs(z) ** 2)
-        for n in range(1, dim):
-            v[n] = v[n - 1] * z / math.sqrt(n)
+        v = coherent_column_matrix(spec.z, dim)
     else:  # squeezed_vacuum
+        v = np.zeros(dim, dtype=np.complex128)
         t = math.tanh(spec.squeeze) / 2.0
         v[0] = math.sqrt(1.0 / math.cosh(spec.squeeze))
         for k in range(1, (dim - 1) // 2 + 1):
@@ -145,6 +136,18 @@ def state_vector(spec: StateSpec, dim: int) -> np.ndarray:
     return v / math.sqrt(norm2)
 
 
+def coherent_column_matrix(alphas, dim: int, normalized: bool = True) -> np.ndarray:
+    """Truncated coherent vectors |alpha>, one column per alpha (a scalar gives
+    one vector): v[n] = v[n-1] alpha / sqrt(n) from v[0] = exp(-|alpha|^2/2),
+    or from v[0] = 1 (the monomials alpha^n / sqrt(n!)) when not normalized."""
+    alphas = np.asarray(alphas, dtype=np.complex128)
+    v = np.empty((dim,) + alphas.shape, dtype=np.complex128)
+    v[0] = np.exp(-0.5 * np.abs(alphas) ** 2) if normalized else 1.0
+    for n in range(1, dim):
+        v[n] = v[n - 1] * alphas / math.sqrt(n)
+    return v
+
+
 def density_from_vector(v: np.ndarray, label: str = "") -> DensityMatrix:
     """Rank-1 density matrix |v><v| for a unit vector v."""
     v = np.asarray(v, dtype=np.complex128)
@@ -152,6 +155,18 @@ def density_from_vector(v: np.ndarray, label: str = "") -> DensityMatrix:
     if abs(norm - 1.0) > 1e-10:
         raise NotNormalized(f"vector norm {norm} deviates from 1 beyond 1e-10")
     return DensityMatrix(np.outer(v, v.conj()), label=label)
+
+
+def ladder_diagonal(d: np.ndarray, k: int) -> np.ndarray:
+    """Diagonal of a'^k diag(d) a^k: d[j-k] j!/(j-k)! for j >= k, else 0.
+    Exact under truncation: a'^k only restores levels a^k lowered."""
+    size = max(d.size - k, 0)
+    falling = np.ones(size)
+    for i in range(k):
+        falling *= np.arange(k, k + size) - i
+    out = np.zeros(d.shape, dtype=d.dtype)
+    out[k:] = d[:size] * falling
+    return out
 
 
 def _exp_raising(mu: complex, dim: int) -> np.ndarray:

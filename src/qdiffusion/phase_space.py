@@ -23,6 +23,7 @@ from .fock import (
     DensityMatrix,
     StateSpec,
     annihilation_matrix,
+    coherent_column_matrix,
     density_from_vector,
     state_vector,
 )
@@ -73,14 +74,23 @@ def p_coherent_evolved(alpha: complex, z: complex, tau: float) -> float:
     return float(np.exp(-abs(complex(z) - complex(alpha)) ** 2 / tau) / tau)
 
 
-def coherent_column_matrix(alphas: np.ndarray, dim: int) -> np.ndarray:
-    """Matrix whose column j is the truncated coherent vector |alphas[j]>."""
-    alphas = np.asarray(alphas, dtype=np.complex128).ravel()
-    v = np.empty((dim, alphas.size), dtype=np.complex128)
-    v[0] = np.exp(-0.5 * np.abs(alphas) ** 2)
-    for n in range(1, dim):
-        v[n] = v[n - 1] * alphas / math.sqrt(n)
-    return v
+def integrate_with_refinement(
+    assemble: Callable[[ComplexGrid], np.ndarray],
+    grid: ComplexGrid,
+    check_convergence: bool,
+) -> np.ndarray:
+    """The quadrature assemble(grid).  With check_convergence, raises
+    QuadratureNotConverged when assemble(grid.refined()) differs from it by
+    more than QUADRATURE_REFINEMENT_TOL in max-norm."""
+    out = assemble(grid)
+    if check_convergence:
+        change = float(np.max(np.abs(assemble(grid.refined()) - out)))
+        if change > QUADRATURE_REFINEMENT_TOL:
+            raise QuadratureNotConverged(
+                f"doubling the grid moved the result by {change:.3e} > "
+                f"{QUADRATURE_REFINEMENT_TOL:.1e}"
+            )
+    return out
 
 
 def rho_from_p(
@@ -105,15 +115,7 @@ def rho_from_p(
         scaled = cols * (weights * pvals / np.pi)[None, :]
         return scaled @ cols.conj().T
 
-    rho = assemble(grid)
-    if check_convergence:
-        refined = assemble(grid.refined())
-        change = float(np.max(np.abs(refined - rho)))
-        if change > QUADRATURE_REFINEMENT_TOL:
-            raise QuadratureNotConverged(
-                f"doubling the grid moved the result by {change:.3e} > "
-                f"{QUADRATURE_REFINEMENT_TOL:.1e}"
-            )
+    rho = integrate_with_refinement(assemble, grid, check_convergence)
     return DensityMatrix(rho, label="p_representation")
 
 
@@ -163,15 +165,8 @@ def p_from_rho_mehta(
         betas = np.asarray(betas, dtype=np.complex128).ravel()
         # unnormalized monomial columns u_n = b^n / sqrt(n!); the product
         # conj(u(-b)) . rho . u(b) equals <-b|rho|b> e^{|b|^2} exactly.
-        u = np.empty((rho.dim, betas.size), dtype=np.complex128)
-        u[0] = 1.0
-        for n in range(1, rho.dim):
-            u[n] = u[n - 1] * betas / math.sqrt(n)
-        left = np.empty_like(u)
-        left[0] = 1.0
-        minus_conj = -betas.conj()
-        for n in range(1, rho.dim):
-            left[n] = left[n - 1] * minus_conj / math.sqrt(n)
+        u = coherent_column_matrix(betas, rho.dim, normalized=False)
+        left = coherent_column_matrix(-betas.conj(), rho.dim, normalized=False)
         kernel = np.einsum("nj,nm,mj->j", left, rho.entries, u)
         phase = np.exp(betas.conj() * alpha - betas * alpha.conjugate())
         return kernel * phase
@@ -265,10 +260,8 @@ def _unnormalized_projector(a: complex, b: complex, dim: int) -> np.ndarray:
     At b = conj(a) this is the coherent projector |a><a|; differentiating in
     a alone (b held fixed) realizes d/da with a* treated as constant.
     """
-    n = np.arange(dim)
-    inv_sqrt_fact = np.cumprod(np.concatenate([[1.0], 1.0 / np.sqrt(n[1:])]))
-    col = (a ** n) * inv_sqrt_fact
-    row = (b ** n) * inv_sqrt_fact
+    col = coherent_column_matrix(a, dim, normalized=False)
+    row = coherent_column_matrix(b, dim, normalized=False)
     return np.exp(-a * b) * np.outer(col, row)
 
 

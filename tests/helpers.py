@@ -42,6 +42,22 @@ def brute_quadrature(f, radius: float, points: int) -> complex:
     return complex((weights * f(nodes)).sum() / np.pi)
 
 
+def dense_ladder(dim: int) -> np.ndarray:
+    """Truncated annihilation matrix built directly: A[n-1, n] = sqrt(n)."""
+    return np.diag(np.sqrt(np.arange(1.0, dim)), 1)
+
+
+def dense_kraus(m: int, n: int, tau: float, dim: int) -> np.ndarray:
+    """M_{m,n} as the literal product pref a'^m (1+tau)^(-a'a) a^n of dense
+    matrix powers."""
+    a = dense_ladder(dim)
+    pref = math.sqrt(
+        tau ** (m + n) / (math.factorial(m) * math.factorial(n) * (tau + 1) ** (m + n + 1))
+    )
+    damp = np.diag((1.0 / (1.0 + tau)) ** np.arange(dim))
+    return pref * np.linalg.matrix_power(a.T, m) @ damp @ np.linalg.matrix_power(a, n)
+
+
 def trace_norm_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Half the trace norm via singular values (independent of eigvalsh)."""
     return 0.5 * float(np.linalg.svd(a - b, compute_uv=False).sum())

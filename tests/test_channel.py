@@ -37,6 +37,8 @@ from qdiffusion.fock import (
 from qdiffusion.oracle import ComplexGrid, integrate_master_equation
 from qdiffusion.phase_space import PFunctionAnalytic
 
+from helpers import dense_kraus, dense_ladder
+
 
 def _projector(spec, dim):
     return density_from_vector(state_vector(spec, dim))
@@ -76,12 +78,24 @@ def test_kraus_zero_time():
 
 
 def test_build_kraus_set_consistency_and_guards():
-    ks = build_kraus_set(0.5, 3, 10)
-    for m in range(4):
-        for n in range(4):
-            np.testing.assert_allclose(
-                ks.operators[m, n], kraus_operator(m, n, 0.5, 10), atol=1e-14
-            )
+    tau, max_index, dim = 0.5, 3, 10
+    ks = build_kraus_set(tau, max_index, dim)
+    dense = {
+        (m, n): dense_kraus(m, n, tau, dim)
+        for m in range(max_index + 1)
+        for n in range(max_index + 1)
+    }
+    # every band with m >= n ends in row dim-1, so the cutoff edge is covered
+    for (m, n), ref in dense.items():
+        np.testing.assert_allclose(ks.operators[m, n], ref, rtol=1e-13, atol=1e-16)
+        np.testing.assert_allclose(kraus_operator(m, n, tau, dim), ref, rtol=1e-13, atol=1e-16)
+    gram = sum(ref.conj().T @ ref for ref in dense.values())
+    np.testing.assert_allclose(ks.gram, gram, rtol=1e-13, atol=1e-16)
+    # bands that end at the cutoff or lie wholly above it
+    for m, n in [(8, 1), (1, 8), (9, 0), (0, 12), (11, 11)]:
+        np.testing.assert_allclose(
+            kraus_operator(m, n, 1.3, dim), dense_kraus(m, n, 1.3, dim), rtol=1e-13, atol=1e-16
+        )
     with pytest.raises(CutoffTooSmall):
         build_kraus_set(0.5, 10, 10)
     with pytest.raises(ValueError):
@@ -179,6 +193,24 @@ def test_number_output_matches_kraus():
     out = number_output(1, 0.25, dim)
     kr = kraus_evolve(_projector(StateSpec.number(1), dim), build_kraus_set(0.25, 16, dim))
     assert trace_distance(out, kr) < 1e-7
+
+
+def test_number_routes_match_literal_ladder_sums():
+    # the closed-form sum over a'^k thermal a^k with dense matrix powers; the
+    # cross-element route reaches the same diagonal state by its own formula
+    dim, tau = 16, 0.25
+    a = dense_ladder(dim)
+    thermal = np.diag((tau / (tau + 1)) ** np.arange(dim))
+    for l in (0, 1, 3, 7):
+        literal = sum(
+            math.comb(l, k) / math.factorial(k) / (tau * (tau + 1)) ** k
+            * np.linalg.matrix_power(a.T, k) @ thermal @ np.linalg.matrix_power(a, k)
+            for k in range(l + 1)
+        ) * tau**l / (tau + 1) ** (l + 1)
+        spec = StateSpec.number(l)
+        cross = evolve_via_husimi_integral(_projector(spec, dim), spec, tau, dim)
+        for out in (number_output(l, tau, dim), cross):
+            np.testing.assert_allclose(out.entries, literal, rtol=1e-12, atol=1e-16)
 
 
 def test_number_output_guards():

@@ -1,8 +1,10 @@
+import copy
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qdiffusion.cli import main, parse_config, run_scenario
 from qdiffusion.errors import SchemaError, UnsupportedRouteForInput
@@ -49,6 +51,11 @@ def test_parse_rejects_unsupported_route_for_input():
     bad = dict(MINIMAL, routes=["p_integral"])
     with pytest.raises(UnsupportedRouteForInput):
         parse_config(json.dumps(bad))
+    # the squeezed closed form refuses |squeeze| > 2; other routes take it
+    bad = dict(MINIMAL, input={"kind": "squeezed_vacuum", "squeeze": 2.02}, cutoff_dim=300)
+    with pytest.raises(UnsupportedRouteForInput):
+        parse_config(json.dumps(bad))
+    parse_config(json.dumps(dict(bad, routes=["husimi_integral"])))
 
 
 def test_parse_rejects_pfun_grid_for_number_input():
@@ -70,6 +77,19 @@ def test_parse_misc_schema_errors():
         {"grid": {"points_per_axis": 8}},
         {"outputs": ["plots"]},
         {"input": {"kind": "coherent", "z": "one"}},
+        {"tau_values": [float("nan")]},
+        {"tau_values": [0.5, float("inf")]},
+        {"tau_values": [True]},
+        {"input": {"kind": "number", "l": True}},
+        {"input": {"kind": "coherent", "z": [float("nan"), 0]}},
+        {"input": {"kind": "coherent", "z": float("-inf")}},
+        {"input": {"kind": "squeezed_vacuum", "squeeze": float("nan")}},
+        {"input": {"kind": "squeezed_vacuum", "squeeze": True}},
+        {"grid": {"radius": float("inf")}},
+        {"grid": {"radius": True}},
+        {"grid": {"points_per_axis": True}},
+        {"cutoff_dim": True},
+        {"kraus_max_index": True},
     ):
         bad = dict(MINIMAL, **mutation)
         with pytest.raises(SchemaError):
@@ -148,7 +168,6 @@ def test_report_determinism_excluding_timings(tmp_path):
     base = dict(
         MINIMAL,
         cutoff_dim=32,
-        seed=7,
         outputs=["report"],
     )
     out_a = tmp_path / "a"
@@ -186,6 +205,8 @@ def test_exit_code_schema_error(tmp_path, capsys):
     cfg = _write_config(tmp_path, dict(MINIMAL, tau_values=[0.5, 0.1]))
     assert main(["run", "--config", str(cfg)]) == 2
     assert main(["run", "--config", str(tmp_path / "missing.json")]) == 2
+    cfg = _write_config(tmp_path, dict(MINIMAL, tau_values=[float("nan")]), "nan.json")
+    assert main(["run", "--config", str(cfg)]) == 2
     capsys.readouterr()
 
 
@@ -233,3 +254,45 @@ def test_report_floats_survive_roundtrip(tmp_path):
     # 17 significant digits reproduce the binary double exactly
     assert entry["trace"] == float(format(entry["trace"], ".17g"))
     assert np.isfinite(entry["min_eigenvalue"])
+
+
+_COHERENT = {
+    "input": {"kind": "coherent", "z": [1.0, 0.5]},
+    "tau_values": [0.5, 1.0],
+    "routes": ["kraus", "closed_form", "p_integral"],
+    "grid": {"radius": 7.0, "points_per_axis": 32},
+    "kraus_max_index": 8,
+}
+_SQUEEZED = dict(MINIMAL, input={"kind": "squeezed_vacuum", "squeeze": 1.0})
+
+#: (base config, key path) of every numeric field in the schema
+NUMERIC_FIELDS = [
+    (_COHERENT, ("input", "z")),
+    (_COHERENT, ("input", "z", 0)),
+    (_COHERENT, ("input", "z", 1)),
+    (_COHERENT, ("tau_values", 0)),
+    (_COHERENT, ("tau_values", 1)),
+    (_COHERENT, ("grid", "radius")),
+    (_COHERENT, ("grid", "points_per_axis")),
+    (_COHERENT, ("cutoff_dim",)),
+    (_COHERENT, ("kraus_max_index",)),
+    (MINIMAL, ("input", "l")),
+    (_SQUEEZED, ("input", "squeeze")),
+]
+
+JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(field=st.sampled_from(NUMERIC_FIELDS), value=JSON_SCALARS)
+def test_numeric_fields_fail_only_with_schema_errors(field, value):
+    base, path = field
+    doc = copy.deepcopy(base)
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    try:
+        parse_config(json.dumps(doc))
+    except (SchemaError, UnsupportedRouteForInput):
+        pass

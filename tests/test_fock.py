@@ -173,6 +173,20 @@ def test_kernel_matches_double_sum():
         assert np.max(np.abs(kernel - brute)) < 1e-10
 
 
+def test_coherent_columns_match_factorial_formula():
+    dim = 12
+    alphas = np.array([0.0, 0.3 - 1.1j, -2.0 + 0.5j])
+    cols = coherent_column_matrix(alphas, dim)
+    monomials = coherent_column_matrix(alphas, dim, normalized=False)
+    for j, z in enumerate(complex(x) for x in alphas):
+        expected = np.array([z**n / math.sqrt(math.factorial(n)) for n in range(dim)])
+        np.testing.assert_allclose(monomials[:, j], expected, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(
+            cols[:, j], math.exp(-abs(z) ** 2 / 2) * expected, rtol=1e-13, atol=0
+        )
+    np.testing.assert_array_equal(coherent_column_matrix(alphas[1], dim), cols[:, 1])
+
+
 def test_coherent_resolution_of_identity():
     # quadrature of |a><a|/pi over radius 6 reproduces identity on levels 0..5
     x, w = np.polynomial.legendre.leggauss(64)
