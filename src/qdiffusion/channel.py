@@ -102,47 +102,71 @@ def kraus_operator(m: int, n: int, tau: float, dim: int) -> np.ndarray:
     return op
 
 
+def _loss_bands(tau: float, max_index: int, dim: int) -> list:
+    """Bands of the pure-loss operators B_n = c_n (1+tau)^(-a'a/2) a^n,
+    c_n = sqrt(tau^n / (n! (1+tau)^(n+1/2))), for n <= max_index.
+
+    B_n[k, k+n] = b_n[k] for k < dim - n is the only nonzero entry per row, with
+    b_0[k] = (1+tau)^(-1/4-k/2) and b_n[k] = b_{n-1}[k] sqrt(tau (k+n) / (n (1+tau))).
+    Each b_n[k]^2 is (1+tau)^(-1/2) times a negative-binomial probability, so
+    no order overflows.
+    """
+    k = np.arange(dim, dtype=np.float64)
+    bands = [(1.0 + tau) ** (-0.25 - 0.5 * k)]
+    for n in range(1, max_index + 1):
+        size = dim - n
+        bands.append(bands[-1][:size] * np.sqrt(tau * (k[:size] + n) / (n * (1.0 + tau))))
+    return bands
+
+
 @dataclass(frozen=True)
 class KrausSet:
-    """All (max_index+1)^2 Kraus matrices at one tau, plus their gram sum."""
+    """The Kraus operators M_{m,n} = B_m' B_n (m, n <= max_index) at one tau,
+    stored as the single bands of the loss operators B_n, plus their gram sum."""
 
     tau: float
     max_index: int
     dim: int
-    operators: np.ndarray  # shape (max_index+1, max_index+1, dim, dim)
+    bands: tuple  # bands[n][k] = B_n[k, k+n], length dim - n
     gram: np.ndarray  # sum of M' M, shape (dim, dim)
 
     def __post_init__(self):
-        self.operators.setflags(write=False)
+        for band in self.bands:
+            band.setflags(write=False)
         self.gram.setflags(write=False)
+
+    def operator(self, m: int, n: int) -> np.ndarray:
+        """The dense matrix M_{m,n} = B_m' B_n on the truncated basis."""
+        if not (0 <= m <= self.max_index and 0 <= n <= self.max_index):
+            raise ValueError(f"Kraus indices must lie in [0, {self.max_index}], got ({m}, {n})")
+        size = self.dim - max(m, n)
+        k = np.arange(size)
+        op = np.zeros((self.dim, self.dim), dtype=np.complex128)
+        op[k + m, k + n] = self.bands[m][:size] * self.bands[n][:size]
+        return op
 
 
 def build_kraus_set(tau: float, max_index: int, dim: int) -> KrausSet:
-    """Materialize every M_{m,n} for m, n <= max_index and their gram sum."""
+    """The loss bands b_0..b_M (M = max_index; M = 0 at tau = 0, where the
+    only band is 1) and the gram sum of every M_{m,n} with m, n <= M."""
     tau = _validate_tau(tau)
     if tau == 0:
-        eye = np.eye(dim, dtype=np.complex128)
-        return KrausSet(
-            tau=0.0, max_index=0, dim=dim,
-            operators=eye.reshape(1, 1, dim, dim).copy(),
-            gram=eye.copy(),
-        )
-    if max_index < 1:
+        max_index = 0
+    elif max_index < 1:
         raise ValueError(f"max_index must be >= 1, got {max_index}")
-    if dim <= max_index:
+    elif dim <= max_index:
         raise CutoffTooSmall(f"dim={dim} must exceed max_index={max_index}")
 
-    ops = np.zeros((max_index + 1, max_index + 1, dim, dim), dtype=np.complex128)
-    # each column of M_{m,n} has one entry, so sum M'M is diagonal
+    bands = _loss_bands(tau, max_index, dim)
+    # sum M'M = sum_n B_n' (sum_m B_m B_m') B_n, and both factors are diagonal
+    gain = np.zeros(dim)
+    for band in bands:
+        gain[: band.size] += band**2
     gram_diag = np.zeros(dim)
-    for m in range(max_index + 1):
-        for n in range(max_index + 1):
-            band = _kraus_band(m, n, tau, dim)
-            k = np.arange(band.size)
-            ops[m, n, k + m, k + n] = band
-            gram_diag[k + n] += band**2
+    for n, band in enumerate(bands):
+        gram_diag[n:] += band**2 * gain[: band.size]
     gram = np.diag(gram_diag.astype(np.complex128))
-    return KrausSet(tau=tau, max_index=max_index, dim=dim, operators=ops, gram=gram)
+    return KrausSet(tau=tau, max_index=max_index, dim=dim, bands=tuple(bands), gram=gram)
 
 
 def completeness_residual(ks: KrausSet, block: int = None) -> float:
@@ -159,14 +183,18 @@ def completeness_residual(ks: KrausSet, block: int = None) -> float:
 
 
 def kraus_evolve(rho0: DensityMatrix, ks: KrausSet) -> DensityMatrix:
-    """Operator sum rho(t) = sum_{m,n} M_{m,n} rho0 M_{m,n}'."""
+    """Operator sum rho(t) = sum_{m,n} M_{m,n} rho0 M_{m,n}', taken as the
+    loss sum sigma = sum_n B_n rho0 B_n' followed by the gain sum
+    rho(t) = sum_m B_m' sigma B_m; each term is one shifted elementwise product."""
     if rho0.dim != ks.dim:
         raise DimensionMismatch(f"state dim {rho0.dim} != Kraus dim {ks.dim}")
-    out = np.zeros_like(rho0.entries)
-    for m in range(ks.max_index + 1):
-        for n in range(ks.max_index + 1):
-            op = ks.operators[m, n]
-            out += op @ rho0.entries @ op.conj().T
+    dim, rho = ks.dim, rho0.entries
+    lost = np.zeros_like(rho)
+    for n, band in enumerate(ks.bands):
+        lost[: dim - n, : dim - n] += np.outer(band, band) * rho[n:, n:]
+    out = np.zeros_like(rho)
+    for m, band in enumerate(ks.bands):
+        out[m:, m:] += np.outer(band, band) * lost[: dim - m, : dim - m]
     return DensityMatrix(out, label="kraus")
 
 

@@ -15,10 +15,14 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import NotDecayed, StepTooLarge, TruncationLoss
-from .fock import DensityMatrix, annihilation_matrix
+from .fock import DensityMatrix
 
 #: accuracy contract for the fixed-step integrator
 MAX_KAPPA_DT = 0.01
+
+#: RK4 is stable for h * (spectral radius) up to ~2.785 on the negative real
+#: axis; the truncated generator's spectral radius is below 4 dim kappa
+RK4_STABILITY_LIMIT = 2.785
 
 #: top Fock level occupation beyond which integration results are rejected
 TOP_LEVEL_OCCUPATION_LIMIT = 1e-6
@@ -114,29 +118,37 @@ def quadrature_2d(
     return QuadratureResult(value=value, refinement_estimate=estimate)
 
 
-def _rhs_matrix(rho: np.ndarray, kappa: float, a: np.ndarray, ad: np.ndarray,
-                n_diag: np.ndarray, aad_diag: np.ndarray) -> np.ndarray:
-    # -kappa (a'a rho - a' rho a - a rho a' + rho a a'); the diagonal factors
-    # a'a and a a' act as cheap row/column scalings.
-    return -kappa * (
-        n_diag[:, None] * rho
-        - ad @ rho @ a
-        - a @ rho @ ad
-        + rho * aad_diag[None, :]
-    )
+def _generator(dim: int, kappa: float):
+    """Coefficients of the truncated generator, L(rho) = rate * rho +
+    ladder * (rho shifted down the diagonal) + ladder * (rho shifted up).
+
+    a' rho a is sqrt(i) sqrt(j) rho[i-1, j-1] and a rho a' is
+    sqrt(i+1) sqrt(j+1) rho[i+1, j+1]; both use ladder[i, j] =
+    kappa sqrt(i+1) sqrt(j+1).  The diagonal part is the rate matrix
+    -kappa (n_i + (aa')_j), with (aa')_j = j + 1 below the top level and 0 on it.
+    """
+    n = np.arange(dim, dtype=np.float64)
+    aad = n + 1.0
+    aad[-1] = 0.0
+    rate = -kappa * (n[:, None] + aad[None, :])
+    root = np.sqrt(n[1:])
+    return rate, kappa * np.outer(root, root)
+
+
+def _banded_rhs(rho: np.ndarray, rate: np.ndarray, ladder: np.ndarray,
+                out: np.ndarray) -> np.ndarray:
+    """Write L(rho) into out as three elementwise products."""
+    np.multiply(rate, rho, out=out)
+    out[1:, 1:] += ladder * rho[:-1, :-1]  # a' rho a
+    out[:-1, :-1] += ladder * rho[1:, 1:]  # a rho a'
+    return out
 
 
 def lindblad_rhs(rho: DensityMatrix, kappa: float) -> DensityMatrix:
     """Right-hand side of the diffusion master equation at the given state."""
-    dim = rho.dim
-    a = annihilation_matrix(dim)
-    ad = a.conj().T
-    n_diag = np.arange(dim, dtype=np.float64)
-    aad_diag = np.diag(a @ ad).real
-    return DensityMatrix(
-        _rhs_matrix(rho.entries, kappa, a, ad, n_diag, aad_diag),
-        label="lindblad_rhs",
-    )
+    rate, ladder = _generator(rho.dim, kappa)
+    out = np.empty_like(rho.entries)
+    return DensityMatrix(_banded_rhs(rho.entries, rate, ladder, out), label="lindblad_rhs")
 
 
 def integrate_master_equation(
@@ -148,7 +160,8 @@ def integrate_master_equation(
     """Classical fixed-step RK4 evolution of rho0 to time t_final.
 
     The step is shrunk (never grown) so an integer number of steps lands
-    exactly on t_final.  kappa*dt must not exceed 0.01.
+    exactly on t_final.  kappa*dt must not exceed 0.01, and kappa*dt*4*dim
+    must stay inside RK4's stability interval.
     """
     if kappa <= 0:
         raise ValueError(f"kappa must be positive, got {kappa}")
@@ -162,28 +175,43 @@ def integrate_master_equation(
         raise ValueError(f"dt={dt} exceeds t_final={t_final}")
     if kappa * dt > MAX_KAPPA_DT * (1 + 1e-12):
         raise StepTooLarge(f"kappa*dt = {kappa * dt} violates the {MAX_KAPPA_DT} contract")
+    dim = rho0.dim
+    if kappa * dt * 4 * dim > RK4_STABILITY_LIMIT:
+        raise StepTooLarge(
+            f"kappa*dt*4*dim = {kappa * dt * 4 * dim:.4g} exceeds RK4's stability "
+            f"limit {RK4_STABILITY_LIMIT} at dim {dim}"
+        )
 
     n_steps = max(1, int(np.ceil(t_final / dt - 1e-12)))
     h = t_final / n_steps
 
-    dim = rho0.dim
-    a = annihilation_matrix(dim)
-    ad = a.conj().T
-    n_diag = np.arange(dim, dtype=np.float64)
-    aad_diag = np.diag(a @ ad).real
-
-    rho = rho0.entries.copy()
+    rate, ladder = _generator(dim, kappa)
+    rho = rho0.entries.astype(np.complex128)
+    k, stage, acc = np.empty_like(rho), np.empty_like(rho), np.empty_like(rho)
     for _ in range(n_steps):
-        k1 = _rhs_matrix(rho, kappa, a, ad, n_diag, aad_diag)
-        k2 = _rhs_matrix(rho + 0.5 * h * k1, kappa, a, ad, n_diag, aad_diag)
-        k3 = _rhs_matrix(rho + 0.5 * h * k2, kappa, a, ad, n_diag, aad_diag)
-        k4 = _rhs_matrix(rho + h * k3, kappa, a, ad, n_diag, aad_diag)
-        rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        # acc collects k1 + 2 k2 + 2 k3 + k4; k holds the current stage slope
+        _banded_rhs(rho, rate, ladder, acc)
+        np.multiply(acc, 0.5 * h, out=stage)
+        stage += rho
+        _banded_rhs(stage, rate, ladder, k)
+        np.multiply(k, 0.5 * h, out=stage)
+        stage += rho
+        k *= 2.0
+        acc += k
+        _banded_rhs(stage, rate, ladder, k)
+        np.multiply(k, h, out=stage)
+        stage += rho
+        k *= 2.0
+        acc += k
+        _banded_rhs(stage, rate, ladder, k)
+        acc += k
+        acc *= h / 6.0
+        rho += acc
 
     top = float(rho[dim - 1, dim - 1].real)
-    if top > TOP_LEVEL_OCCUPATION_LIMIT:
+    if not abs(top) <= TOP_LEVEL_OCCUPATION_LIMIT:
         raise TruncationLoss(
-            f"top-level occupation {top:.3e} exceeds {TOP_LEVEL_OCCUPATION_LIMIT:.1e}; "
-            "increase the cutoff"
+            f"top-level occupation {top:.3e} exceeds {TOP_LEVEL_OCCUPATION_LIMIT:.1e} "
+            "in magnitude; increase the cutoff"
         )
     return DensityMatrix(rho, label="ode_oracle")

@@ -1,9 +1,11 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from qdiffusion.channel import (
+    _loss_bands,
     build_kraus_set,
     coherent_output,
     completeness_residual,
@@ -27,6 +29,7 @@ from qdiffusion.errors import (
     ZeroTimeNontrivialIndex,
 )
 from qdiffusion.fock import (
+    DensityMatrix,
     StateSpec,
     annihilation_matrix,
     density_from_vector,
@@ -73,7 +76,7 @@ def test_kraus_zero_time():
         kraus_operator(1, 0, 0.0, 5)
     ks = build_kraus_set(0.0, 10, 5)
     assert ks.max_index == 0
-    np.testing.assert_array_equal(ks.operators[0, 0], np.eye(5))
+    np.testing.assert_array_equal(ks.operator(0, 0), np.eye(5))
     assert completeness_residual(ks) == 0.0
 
 
@@ -87,7 +90,7 @@ def test_build_kraus_set_consistency_and_guards():
     }
     # every band with m >= n ends in row dim-1, so the cutoff edge is covered
     for (m, n), ref in dense.items():
-        np.testing.assert_allclose(ks.operators[m, n], ref, rtol=1e-13, atol=1e-16)
+        np.testing.assert_allclose(ks.operator(m, n), ref, rtol=1e-13, atol=1e-16)
         np.testing.assert_allclose(kraus_operator(m, n, tau, dim), ref, rtol=1e-13, atol=1e-16)
     gram = sum(ref.conj().T @ ref for ref in dense.values())
     np.testing.assert_allclose(ks.gram, gram, rtol=1e-13, atol=1e-16)
@@ -100,6 +103,56 @@ def test_build_kraus_set_consistency_and_guards():
         build_kraus_set(0.5, 10, 10)
     with pytest.raises(ValueError):
         build_kraus_set(0.5, 0, 10)
+
+
+def test_kraus_set_at_highest_order_matches_dense_references():
+    # M = dim - 1: every band down to the single-entry B_M, none beyond it
+    tau, dim = 0.8, 12
+    ks = build_kraus_set(tau, dim - 1, dim)
+    gram = np.zeros((dim, dim), complex)
+    for m in range(dim):
+        for n in range(dim):
+            ref = dense_kraus(m, n, tau, dim)
+            np.testing.assert_allclose(ks.operator(m, n), ref, rtol=1e-13, atol=1e-16)
+            gram += ref.conj().T @ ref
+    np.testing.assert_allclose(ks.gram, gram, rtol=1e-13, atol=1e-16)
+    with pytest.raises(ValueError):
+        ks.operator(dim, 0)
+
+
+def test_kraus_evolve_matches_literal_operator_sum():
+    # a random full-rank state with every coherence populated, so no phase
+    # covariance of the input can hide a misplaced band
+    tau, max_index, dim = 0.7, 9, 14
+    rng = np.random.default_rng(5)
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = g @ g.conj().T
+    rho /= np.trace(rho).real
+    expected = np.zeros((dim, dim), complex)
+    for m in range(max_index + 1):
+        for n in range(max_index + 1):
+            op = dense_kraus(m, n, tau, dim)
+            expected += op @ rho @ op.conj().T
+    out = kraus_evolve(DensityMatrix(rho), build_kraus_set(tau, max_index, dim))
+    np.testing.assert_allclose(out.entries, expected, rtol=0, atol=1e-13)
+
+
+def _exact_loss_band(n: int, k: int, tau: Fraction) -> float:
+    """b_n[k] = (1+tau)^(-1/4) sqrt(C(k+n, n) tau^n / (1+tau)^(n+k)), the
+    square root taken in integers to 80 bits."""
+    ratio = math.comb(k + n, n) * tau**n / (1 + tau) ** (n + k)
+    root = math.isqrt(ratio.numerator * 4**80 // ratio.denominator)
+    return float(Fraction(root, 2**80)) * float(1 + tau) ** -0.25
+
+
+def test_loss_bands_at_high_order_match_exact_arithmetic():
+    for tau in (Fraction(1), Fraction(3, 10)):
+        bands = _loss_bands(float(tau), 120, 130)
+        for n, k in [(0, 0), (0, 129), (1, 3), (60, 40), (99, 30), (100, 9), (110, 19), (120, 9)]:
+            assert bands[n][k] == pytest.approx(_exact_loss_band(n, k, tau), rel=1e-13)
+    # every entry is the root of a probability, so nothing overflows
+    bands = _loss_bands(1e3, 150, 400)
+    assert all(np.all(np.isfinite(b)) and np.all(b <= 1.0) for b in bands)
 
 
 def test_completeness_ground_level_is_exactly_geometric():

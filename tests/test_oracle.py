@@ -19,6 +19,8 @@ from qdiffusion.oracle import (
 )
 from qdiffusion.special import gaussian_moment_integral
 
+from helpers import dense_ladder
+
 
 def test_rhs_vacuum_by_hand():
     # -kappa (a'a rho - a' rho a - a rho a' + rho a a') at rho = |0><0| is
@@ -47,6 +49,19 @@ def test_rhs_zero_kappa_and_trace():
     assert abs(np.trace(rhs)) < 1e-14
     interior = np.trace(rhs[:-1, :-1])
     assert abs(interior + rhs[-1, -1]) < 1e-14
+
+
+def test_rhs_matches_dense_ladder_form():
+    # on a random non-Hermitian matrix, against the dense products of the
+    # directly built truncated ladder
+    dim, kappa = 12, 0.7
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    a = dense_ladder(dim)
+    ad = a.T
+    expected = kappa * (ad @ x @ a + a @ x @ ad - ad @ a @ x - x @ a @ ad)
+    rhs = lindblad_rhs(DensityMatrix(x), kappa).entries
+    np.testing.assert_allclose(rhs, expected, rtol=0, atol=1e-13)
 
 
 def test_integrate_zero_time_and_guards():
