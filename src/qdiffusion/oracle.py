@@ -1,12 +1,18 @@
 """Independent ground truth for the channel routes.
 
-Direct fixed-step RK4 integration of the diffusion master equation
-
-    d rho/dt = -kappa (a'a rho - a' rho a - a rho a' + rho a a')
-
-and brute-force tensor-rule quadrature over a square patch of the complex
-plane (with the 1/pi measure folded in).  Both are deliberately dumb and
+Direct fixed-step RK4 integration of the diffusion master equation, and
+brute-force tensor-rule quadrature over a square patch of the complex plane
+(with the 1/pi measure folded in).  Both are deliberately dumb and
 deterministic; everything cleverer in the package is validated against them.
+
+The master equation is taken in Lindblad form with the truncated jumps a, a':
+
+    d rho/dt = kappa (a' rho a + a rho a' - h rho - rho h),  h = (a'a + aa')/2.
+
+Wherever aa' = a'a + 1 this is the paper's equation
+-kappa (a'a rho - a' rho a - a rho a' + rho aa'); on the truncated box, where
+aa' has no level above the top to raise into, it still preserves the trace
+and Hermiticity.
 """
 
 from dataclasses import dataclass
@@ -125,12 +131,14 @@ def _generator(dim: int, kappa: float):
     a' rho a is sqrt(i) sqrt(j) rho[i-1, j-1] and a rho a' is
     sqrt(i+1) sqrt(j+1) rho[i+1, j+1]; both use ladder[i, j] =
     kappa sqrt(i+1) sqrt(j+1).  The diagonal part is the rate matrix
-    -kappa (n_i + (aa')_j), with (aa')_j = j + 1 below the top level and 0 on it.
+    -kappa (h_i + h_j), with h = (a'a + aa')/2 and (aa')_j = j + 1 below the
+    top level and 0 on it.
     """
     n = np.arange(dim, dtype=np.float64)
     aad = n + 1.0
     aad[-1] = 0.0
-    rate = -kappa * (n[:, None] + aad[None, :])
+    h = 0.5 * (n + aad)
+    rate = -kappa * (h[:, None] + h[None, :])
     root = np.sqrt(n[1:])
     return rate, kappa * np.outer(root, root)
 

@@ -58,6 +58,30 @@ def dense_kraus(m: int, n: int, tau: float, dim: int) -> np.ndarray:
     return pref * np.linalg.matrix_power(a.T, m) @ damp @ np.linalg.matrix_power(a, n)
 
 
+def exact_truncated_evolution(rho: np.ndarray, tau: float) -> np.ndarray:
+    """exp(tau L) rho for the truncated Lindblad generator
+    L(x) = a' x a + a x a' - h x - x h, h = (a'a + aa')/2.
+
+    L maps each diagonal offset d to itself; on the entries x[i, i+d] (and
+    x[i+d, i]) it is the real symmetric tridiagonal matrix with diagonal
+    -(h_i + h_(i+d)) and off-diagonals sqrt(i+1) sqrt(i+1+d), so one eigh per
+    offset gives the exact propagator.
+    """
+    dim = rho.shape[0]
+    a = dense_ladder(dim)
+    h = np.diag(0.5 * (a.T @ a + a @ a.T))
+    out = np.zeros_like(rho)
+    for d in range(dim):
+        i = np.arange(dim - d)
+        off = np.sqrt(i[1:]) * np.sqrt(i[1:] + d)
+        gen = np.diag(-(h[i] + h[i + d])) + np.diag(off, 1) + np.diag(off, -1)
+        w, v = np.linalg.eigh(gen)
+        prop = (v * np.exp(tau * w)) @ v.T
+        out[i, i + d] = prop @ rho[i, i + d]
+        out[i + d, i] = prop @ rho[i + d, i]
+    return out
+
+
 def trace_norm_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Half the trace norm via singular values (independent of eigvalsh)."""
     return 0.5 * float(np.linalg.svd(a - b, compute_uv=False).sum())
