@@ -310,7 +310,9 @@ def _run_cell(cfg: ScenarioConfig, rho0: DensityMatrix, route: str, tau: float):
         if tau == 0:
             state = DensityMatrix(rho0.entries.copy(), label="ode_oracle")
         else:
-            dt = min(ORACLE_DT, tau / 4.0)
+            # 1/(2 dim kappa) keeps h times the generator's spectral radius
+            # (below 4 dim kappa) under 2, inside RK4's stability interval
+            dt = min(ORACLE_DT, tau / 4.0, 1.0 / (2.0 * dim * ORACLE_KAPPA))
             state = integrate_master_equation(rho0, ORACLE_KAPPA, tau / ORACLE_KAPPA, dt)
     else:  # pragma: no cover - parse_config rejects unknown routes
         raise ValueError(f"unknown route {route!r}")

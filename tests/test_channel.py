@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -138,18 +139,21 @@ def test_kraus_evolve_matches_literal_operator_sum():
 
 
 def _exact_loss_band(n: int, k: int, tau: Fraction) -> float:
-    """b_n[k] = (1+tau)^(-1/4) sqrt(C(k+n, n) tau^n / (1+tau)^(n+k)), the
-    square root taken in integers to 80 bits."""
+    """b_n[k] = (1+tau)^(-1/4) sqrt(C(k+n, n) tau^n / (1+tau)^(n+k)), from the
+    exact rational under the root, in 40-digit decimal arithmetic."""
     ratio = math.comb(k + n, n) * tau**n / (1 + tau) ** (n + k)
-    root = math.isqrt(ratio.numerator * 4**80 // ratio.denominator)
-    return float(Fraction(root, 2**80)) * float(1 + tau) ** -0.25
+    with localcontext() as ctx:
+        ctx.prec = 40
+        root = (Decimal(ratio.numerator) / Decimal(ratio.denominator)).sqrt()
+        gain = Decimal((1 + tau).numerator) / Decimal((1 + tau).denominator)
+        return float(root / gain.sqrt().sqrt())
 
 
 def test_loss_bands_at_high_order_match_exact_arithmetic():
     for tau in (Fraction(1), Fraction(3, 10)):
         bands = _loss_bands(float(tau), 120, 130)
         for n, k in [(0, 0), (0, 129), (1, 3), (60, 40), (99, 30), (100, 9), (110, 19), (120, 9)]:
-            assert bands[n][k] == pytest.approx(_exact_loss_band(n, k, tau), rel=1e-13)
+            assert bands[n][k] == pytest.approx(_exact_loss_band(n, k, tau), rel=1e-13, abs=0)
     # every entry is the root of a probability, so nothing overflows
     bands = _loss_bands(1e3, 150, 400)
     assert all(np.all(np.isfinite(b)) and np.all(b <= 1.0) for b in bands)

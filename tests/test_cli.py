@@ -238,6 +238,35 @@ def test_exit_code_truncation_loss(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cutoff_beyond_rk4_stability_edge_exits_zero(tmp_path):
+    # |z|^2 = 100 resolves to dim 411, where the fixed 0.002 step would leave
+    # RK4's stability interval; the oracle step shrinks with the cutoff
+    cfg = {
+        "input": {"kind": "coherent", "z": 10},
+        "tau_values": [0.05],
+        "routes": ["closed_form", "ode_oracle"],
+        "output_dir": str(tmp_path / "out"),
+    }
+    assert parse_config(json.dumps(cfg)).cutoff_dim == 411
+    assert main(["run", "--config", str(_write_config(tmp_path, cfg))]) == 0
+
+
+def test_kraus_order_above_factorial_range_exits_zero(tmp_path):
+    # 99! 100! no longer fits a float; the loss bands need no factorials
+    cfg = {
+        "input": {"kind": "coherent", "z": 1.0},
+        "tau_values": [1.0],
+        "cutoff_dim": 130,
+        "kraus_max_index": 120,
+        "routes": ["kraus", "closed_form"],
+        "output_dir": str(tmp_path / "out"),
+    }
+    assert main(["run", "--config", str(_write_config(tmp_path, cfg))]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["results"][0]["kraus_max_index"] == 120
+    assert report["pairwise"][0]["trace_distance"] < 1e-12
+
+
 def test_output_dir_override(tmp_path):
     cfg = _write_config(tmp_path, dict(MINIMAL, cutoff_dim=32, output_dir=str(tmp_path / "ignored")))
     override = tmp_path / "override"

@@ -93,6 +93,25 @@ def test_integrate_zero_time_and_guards():
         integrate_master_equation(rho0, -1.0, 0.5, 0.005)
 
 
+def test_integrate_rejects_step_outside_rk4_stability():
+    # dt 0.002 at dim 400 puts kappa*dt*4*dim at 3.2, outside RK4's stability
+    # interval; two such steps would still return a plausible vacuum
+    rho0 = density_from_vector(state_vector(StateSpec.number(0), 400))
+    with pytest.raises(StepTooLarge):
+        integrate_master_equation(rho0, 1.0, 0.004, 0.002)
+
+
+def test_integrate_rejects_garbage_top_level():
+    # NaN and a large negative top occupation are rejected, not only a large
+    # positive one
+    nan = DensityMatrix(np.full((8, 8), np.nan, dtype=complex))
+    negative = np.zeros((8, 8), complex)
+    negative[-1, -1] = -1.0
+    for rho0 in (nan, DensityMatrix(negative)):
+        with pytest.raises(TruncationLoss):
+            integrate_master_equation(rho0, 1.0, 0.01, 0.005)
+
+
 def test_integrate_vacuum_heating():
     rho0 = density_from_vector(state_vector(StateSpec.number(0), 48))
     out = integrate_master_equation(rho0, 1.0, 0.5, 0.005)
