@@ -194,7 +194,7 @@ def integrate_master_equation(
     h = t_final / n_steps
 
     rate, ladder = _generator(dim, kappa)
-    rho = rho0.entries.astype(np.complex128)
+    rho = rho0.entries.copy()
     k, stage, acc = np.empty_like(rho), np.empty_like(rho), np.empty_like(rho)
     for _ in range(n_steps):
         # acc collects k1 + 2 k2 + 2 k3 + k4; k holds the current stage slope
