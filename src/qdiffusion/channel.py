@@ -69,18 +69,18 @@ def default_kraus_max_index(tau: float, dim: int) -> int:
 
 def _kraus_band(m: int, n: int, tau: float, dim: int) -> np.ndarray:
     """The one nonzero band of M_{m,n}: for 0 <= k < dim - max(m, n), entry
-    (k+m, k+n) is pref (1+tau)^-k sqrt((k+m)!/k!) sqrt((k+n)!/k!), the ladder
-    factors taken as products of sqrt(k+i)."""
-    pref = math.sqrt(
-        tau ** (m + n)
-        / (math.factorial(m) * math.factorial(n) * (tau + 1.0) ** (m + n + 1))
-    )
-    k = np.arange(dim - max(m, n))
+    (k+m, k+n) is pref (1+tau)^-k sqrt((k+m)!/k!) sqrt((k+n)!/k!), taken as
+    sqrt(r_m r_n / (1+tau)) (1+tau)^-k with the running products
+    r_p = prod_{i=1..p} tau (k+i) / (i (1+tau)), so no factorial is formed."""
+    k = np.arange(dim - max(m, n), dtype=np.float64)
 
-    def rise(p: int) -> np.ndarray:
-        return np.sqrt(k[:, None] + np.arange(1, p + 1)).prod(axis=1)
+    def ratio(p: int) -> np.ndarray:
+        r = np.ones_like(k)
+        for i in range(1, p + 1):
+            r *= tau * (k + i) / (i * (1.0 + tau))
+        return r
 
-    return pref * (1.0 / (1.0 + tau)) ** k * rise(m) * rise(n)
+    return np.sqrt(ratio(m) * ratio(n) / (1.0 + tau)) * (1.0 + tau) ** -k
 
 
 def kraus_operator(m: int, n: int, tau: float, dim: int) -> np.ndarray:

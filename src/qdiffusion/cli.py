@@ -10,10 +10,10 @@ Exit codes: 0 success, 2 schema error, 3 tolerance failure,
 
 import argparse
 import dataclasses
+import itertools
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -284,8 +284,13 @@ def _closed_form(spec: StateSpec, tau: float, dim: int) -> DensityMatrix:
     return squeezed_output(spec.squeeze, tau, dim)
 
 
-def _run_cell(cfg: ScenarioConfig, rho0: DensityMatrix, route: str, tau: float):
-    """One (route, tau) evolution; returns (state, extra metric dict)."""
+def _run_cell(cfg: ScenarioConfig, rho0: DensityMatrix, route: str, tau: float,
+              oracle_start: tuple):
+    """One (route, tau) evolution; returns (state, extra metric dict).
+
+    The ode_oracle route continues from oracle_start, the (tau, state) it
+    reached at the previous tau of the sweep, or (0, rho0).
+    """
     dim = cfg.cutoff_dim
     extra = {}
     if route == "kraus":
@@ -310,10 +315,12 @@ def _run_cell(cfg: ScenarioConfig, rho0: DensityMatrix, route: str, tau: float):
         if tau == 0:
             state = DensityMatrix(rho0.entries.copy(), label="ode_oracle")
         else:
+            tau_prev, start = oracle_start
             # 1/(2 dim kappa) keeps h times the generator's spectral radius
             # (below 4 dim kappa) under 2, inside RK4's stability interval
-            dt = min(ORACLE_DT, tau / 4.0, 1.0 / (2.0 * dim * ORACLE_KAPPA))
-            state = integrate_master_equation(rho0, ORACLE_KAPPA, tau / ORACLE_KAPPA, dt)
+            span = tau - tau_prev
+            dt = min(ORACLE_DT, span / 4.0, 1.0 / (2.0 * dim * ORACLE_KAPPA))
+            state = integrate_master_equation(start, ORACLE_KAPPA, span / ORACLE_KAPPA, dt)
     else:  # pragma: no cover - parse_config rejects unknown routes
         raise ValueError(f"unknown route {route!r}")
     return state, extra
@@ -360,33 +367,27 @@ def _echo_input(spec: StateSpec) -> dict:
     return {"kind": spec.kind, "squeeze": spec.squeeze}
 
 
-def run_scenario(cfg: ScenarioConfig, threads: int = 0) -> EvolutionReport:
-    """Execute every requested (route, tau) cell, cross-check, write outputs."""
+def run_scenario(cfg: ScenarioConfig) -> EvolutionReport:
+    """Execute every requested (route, tau) cell, cross-check, write outputs.
+
+    Cells run in (tau, route) order; the ode_oracle route integrates once
+    along the ascending taus, each cell continuing from the previous one.
+    """
     dim = cfg.cutoff_dim
     rho0 = density_from_vector(state_vector(cfg.input, dim), label="input")
-    cells = [(tau, route) for tau in cfg.tau_values for route in cfg.routes]
 
     states = {}
     results = []
     timings = {}
-    t_start = time.perf_counter()
-
-    def compute(cell):
-        tau, route = cell
-        t0 = time.perf_counter()
-        state, extra = _run_cell(cfg, rho0, route, tau)
-        return cell, state, extra, time.perf_counter() - t0
-
-    if threads and threads > 0:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            computed = list(pool.map(compute, cells))
-    else:
-        computed = [compute(cell) for cell in cells]
-
     failures = []
-    for (tau, route), state, extra, elapsed in sorted(
-        computed, key=lambda item: (item[0][0], cfg.routes.index(item[0][1]))
-    ):
+    oracle_start = (0.0, rho0)
+    t_start = time.perf_counter()
+    for tau, route in itertools.product(cfg.tau_values, cfg.routes):
+        t0 = time.perf_counter()
+        state, extra = _run_cell(cfg, rho0, route, tau, oracle_start)
+        elapsed = time.perf_counter() - t0
+        if route == "ode_oracle":
+            oracle_start = (tau, state)
         states[(tau, route)] = state
         metrics = state_metrics(state)
         trace_tol = TRACE_TOL_QUADRATURE if route in QUADRATURE_ROUTES else TRACE_TOL
@@ -501,10 +502,6 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="execute a scenario config")
     run.add_argument("--config", required=True, help="path to the JSON scenario config")
     run.add_argument("--output-dir", default=None, help="override the config's output_dir")
-    run.add_argument(
-        "--threads", type=int, default=0,
-        help="worker threads for (route, tau) cells; 0 = serial deterministic mode",
-    )
     return parser
 
 
@@ -519,7 +516,7 @@ def main(argv=None) -> int:
         cfg = parse_config(text)
         if args.output_dir is not None:
             cfg = dataclasses.replace(cfg, output_dir=args.output_dir)
-        report = run_scenario(cfg, threads=args.threads)
+        report = run_scenario(cfg)
     except (SchemaError, UnsupportedRouteForInput) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

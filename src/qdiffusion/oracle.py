@@ -124,39 +124,69 @@ def quadrature_2d(
     return QuadratureResult(value=value, refinement_estimate=estimate)
 
 
-def _generator(dim: int, kappa: float):
-    """Coefficients of the truncated generator, L(rho) = rate * rho +
-    ladder * (rho shifted down the diagonal) + ladder * (rho shifted up).
+def _bands(entries: np.ndarray, kappa: float):
+    """Pack the occupied diagonal bands of entries with the truncated
+    generator's coefficients.
 
-    a' rho a is sqrt(i) sqrt(j) rho[i-1, j-1] and a rho a' is
-    sqrt(i+1) sqrt(j+1) rho[i+1, j+1]; both use ladder[i, j] =
-    kappa sqrt(i+1) sqrt(j+1).  The diagonal part is the rate matrix
-    -kappa (h_i + h_j), with h = (a'a + aa')/2 and (aa')_j = j + 1 below the
-    top level and 0 on it.
+    L(rho) = rate * rho + ladder * (rho shifted down the diagonal) +
+    ladder * (rho shifted up): a' rho a is sqrt(i) sqrt(j) rho[i-1, j-1] and
+    a rho a' is sqrt(i+1) sqrt(j+1) rho[i+1, j+1], both with ladder[i, j] =
+    kappa sqrt(i+1) sqrt(j+1).  The rate is -kappa (h_i + h_j), with
+    h = (a'a + aa')/2 and (aa')_j = j + 1 below the top level and 0 on it.
+
+    Every diagonal offset maps to itself through a real symmetric tridiagonal
+    block, so the real and the imaginary part of each offset evolve on their
+    own.  Each (offset, part) holding a nonzero entry is laid end to end in
+    one real vector v.  Returns (v, rate, couple, index): rate[p] is the rate
+    of v[p], couple[p] links v[p] and v[p+1] (0 where two parts meet), and
+    v[p] is entry index[p] of the entries' float64 view.
     """
+    dim = entries.shape[0]
     n = np.arange(dim, dtype=np.float64)
     aad = n + 1.0
     aad[-1] = 0.0
     h = 0.5 * (n + aad)
     rate = -kappa * (h[:, None] + h[None, :])
     root = np.sqrt(n[1:])
-    return rate, kappa * np.outer(root, root)
+    ladder = kappa * np.outer(root, root)
+
+    flat = entries.view(np.float64).ravel()
+    index, rates, couples = [np.empty(0, np.intp)], [np.empty(0)], [np.empty(0)]
+    for d in range(1 - dim, dim):
+        # entry (i, i+d), or (i-d, i) below the diagonal, is complex number
+        # start + i (dim+1) of the row-major matrix
+        start = d if d >= 0 else -d * dim
+        band = 2 * (start + (dim + 1) * np.arange(dim - abs(d)))
+        for part in (band, band + 1):
+            if np.any(flat[part] != 0):
+                index.append(part)
+                rates.append(np.diagonal(rate, d))
+                couples += [np.diagonal(ladder, d), np.zeros(1)]
+    index = np.concatenate(index)
+    return flat[index], np.concatenate(rates), np.concatenate(couples)[:-1], index
 
 
-def _banded_rhs(rho: np.ndarray, rate: np.ndarray, ladder: np.ndarray,
+def _unpack(v: np.ndarray, index: np.ndarray, dim: int) -> np.ndarray:
+    """The complex (dim, dim) matrix holding v at the packed positions."""
+    flat = np.zeros(2 * dim * dim)
+    flat[index] = v
+    return flat.view(np.complex128).reshape(dim, dim)
+
+
+def _banded_rhs(v: np.ndarray, rate: np.ndarray, couple: np.ndarray,
                 out: np.ndarray) -> np.ndarray:
-    """Write L(rho) into out as three elementwise products."""
-    np.multiply(rate, rho, out=out)
-    out[1:, 1:] += ladder * rho[:-1, :-1]  # a' rho a
-    out[:-1, :-1] += ladder * rho[1:, 1:]  # a rho a'
+    """Write L on the packed bands into out: rate v plus the two neighbours."""
+    np.multiply(rate, v, out=out)
+    out[1:] += couple * v[:-1]  # a' rho a
+    out[:-1] += couple * v[1:]  # a rho a'
     return out
 
 
 def lindblad_rhs(rho: DensityMatrix, kappa: float) -> DensityMatrix:
     """Right-hand side of the diffusion master equation at the given state."""
-    rate, ladder = _generator(rho.dim, kappa)
-    out = np.empty_like(rho.entries)
-    return DensityMatrix(_banded_rhs(rho.entries, rate, ladder, out), label="lindblad_rhs")
+    v, rate, couple, index = _bands(rho.entries, kappa)
+    out = _banded_rhs(v, rate, couple, np.empty_like(v))
+    return DensityMatrix(_unpack(out, index, rho.dim), label="lindblad_rhs")
 
 
 def integrate_master_equation(
@@ -193,29 +223,29 @@ def integrate_master_equation(
     n_steps = max(1, int(np.ceil(t_final / dt - 1e-12)))
     h = t_final / n_steps
 
-    rate, ladder = _generator(dim, kappa)
-    rho = rho0.entries.copy()
-    k, stage, acc = np.empty_like(rho), np.empty_like(rho), np.empty_like(rho)
+    v, rate, couple, index = _bands(rho0.entries, kappa)
+    k, stage, acc = np.empty_like(v), np.empty_like(v), np.empty_like(v)
     for _ in range(n_steps):
         # acc collects k1 + 2 k2 + 2 k3 + k4; k holds the current stage slope
-        _banded_rhs(rho, rate, ladder, acc)
+        _banded_rhs(v, rate, couple, acc)
         np.multiply(acc, 0.5 * h, out=stage)
-        stage += rho
-        _banded_rhs(stage, rate, ladder, k)
+        stage += v
+        _banded_rhs(stage, rate, couple, k)
         np.multiply(k, 0.5 * h, out=stage)
-        stage += rho
+        stage += v
         k *= 2.0
         acc += k
-        _banded_rhs(stage, rate, ladder, k)
+        _banded_rhs(stage, rate, couple, k)
         np.multiply(k, h, out=stage)
-        stage += rho
+        stage += v
         k *= 2.0
         acc += k
-        _banded_rhs(stage, rate, ladder, k)
+        _banded_rhs(stage, rate, couple, k)
         acc += k
         acc *= h / 6.0
-        rho += acc
+        v += acc
 
+    rho = _unpack(v, index, dim)
     top = float(rho[dim - 1, dim - 1].real)
     if not abs(top) <= TOP_LEVEL_OCCUPATION_LIMIT:
         raise TruncationLoss(

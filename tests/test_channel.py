@@ -159,6 +159,18 @@ def test_loss_bands_at_high_order_match_exact_arithmetic():
     assert all(np.all(np.isfinite(b)) and np.all(b <= 1.0) for b in bands)
 
 
+def test_kraus_operator_at_high_order_matches_loss_bands():
+    # orders from 99 on used to overflow a float factorial; the running
+    # product agrees with B_m' B_n from the factorial-free loss bands
+    op = kraus_operator(100, 100, 1.0, 130)
+    ref = build_kraus_set(1.0, 120, 130).operator(100, 100)
+    band = np.diagonal(ref)
+    assert np.all(band[100:] > 0) and not band[:100].any()
+    np.testing.assert_allclose(op, ref, rtol=1e-14, atol=0)
+    for tau in (1.0, 1e3):
+        assert np.all(np.isfinite(kraus_operator(150, 150, tau, 400)))
+
+
 def test_completeness_ground_level_is_exactly_geometric():
     # the level-0 deficiency of sum M'M is (tau/(tau+1))^(M+1) exactly
     for tau, M in [(0.25, 12), (0.5, 10), (1.0, 8)]:

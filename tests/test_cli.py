@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qdiffusion import cli
 from qdiffusion.cli import main, parse_config, run_scenario
 from qdiffusion.errors import SchemaError, UnsupportedRouteForInput
+from qdiffusion.fock import density_from_vector, state_vector
+from qdiffusion.oracle import integrate_master_equation
 
 
 def _write_config(tmp_path, cfg, name="scenario.json"):
@@ -185,20 +188,69 @@ def test_report_determinism_excluding_timings(tmp_path):
     assert json.dumps(ra, sort_keys=True) == json.dumps(rb, sort_keys=True)
 
 
-def test_threads_match_serial(tmp_path):
-    base = dict(MINIMAL, cutoff_dim=32, tau_values=[0.25, 0.5], outputs=["report"])
-    out_s = tmp_path / "serial"
-    out_t = tmp_path / "threaded"
-    cfg_s = _write_config(tmp_path, dict(base, output_dir=str(out_s)), "s.json")
-    cfg_t = _write_config(tmp_path, dict(base, output_dir=str(out_t)), "t.json")
-    assert main(["run", "--config", str(cfg_s), "--threads", "0"]) == 0
-    assert main(["run", "--config", str(cfg_t), "--threads", "2"]) == 0
-    rs = json.loads((out_s / "report.json").read_text())
-    rt = json.loads((out_t / "report.json").read_text())
-    for r in (rs, rt):
-        r.pop("timings")
-        r["config"].pop("output_dir")
-    assert json.dumps(rs, sort_keys=True) == json.dumps(rt, sort_keys=True)
+def test_threads_option_is_rejected(tmp_path, capsys):
+    cfg = _write_config(tmp_path, dict(MINIMAL, output_dir=str(tmp_path)))
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", str(cfg), "--threads", "2"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
+def _oracle_states(tmp_path, monkeypatch, doc):
+    """run_scenario on doc, with the ode_oracle state of every tau."""
+    states = {}
+    run_cell = cli._run_cell
+
+    def recording(cfg, rho0, route, tau, oracle_start):
+        state, extra = run_cell(cfg, rho0, route, tau, oracle_start)
+        if route == "ode_oracle":
+            states[tau] = state.entries
+        return state, extra
+
+    monkeypatch.setattr(cli, "_run_cell", recording)
+    cfg = parse_config(json.dumps(dict(doc, output_dir=str(tmp_path))))
+    run_scenario(cfg)
+    rho0 = density_from_vector(state_vector(cfg.input, cfg.cutoff_dim))
+    return states, rho0
+
+
+def test_oracle_sweep_continuation_is_bit_identical(tmp_path, monkeypatch):
+    # at taus 0.5 and 2 every step is the double 0.002, so continuing from
+    # tau 0.5 repeats the direct integration's arithmetic; dim 40 keeps the
+    # tau-2 top level below the truncation limit
+    doc = {
+        "input": {"kind": "coherent", "z": [0.5, 0.3]},
+        "tau_values": [0, 0.5, 2],
+        "cutoff_dim": 40,
+        "routes": ["closed_form", "ode_oracle"],
+    }
+    states, rho0 = _oracle_states(tmp_path, monkeypatch, doc)
+    np.testing.assert_array_equal(states[0], rho0.entries)
+    for tau in (0.5, 2):
+        direct = integrate_master_equation(rho0, 1.0, tau, 0.002)
+        np.testing.assert_array_equal(states[tau], direct.entries)
+
+
+def test_oracle_sweep_continuation_with_uneven_gaps(tmp_path, monkeypatch):
+    doc = {
+        "input": {"kind": "coherent", "z": [0.5, 0.3]},
+        "tau_values": [0.1, 0.3, 1.0, 1.7],
+        "cutoff_dim": 40,
+        "routes": ["ode_oracle"],
+    }
+    spans = []
+
+    def integrate(rho0, kappa, t_final, dt):
+        spans.append(t_final)
+        return integrate_master_equation(rho0, kappa, t_final, dt)
+
+    monkeypatch.setattr(cli, "integrate_master_equation", integrate)
+    states, rho0 = _oracle_states(tmp_path, monkeypatch, doc)
+    # one pass to max(tau), not one integration from 0 per tau
+    assert sum(spans) == pytest.approx(1.7, abs=1e-12)
+    for tau in doc["tau_values"]:
+        direct = integrate_master_equation(rho0, 1.0, tau, min(0.002, tau / 4))
+        assert np.abs(states[tau] - direct.entries).max() < 1e-12
 
 
 def test_exit_code_schema_error(tmp_path, capsys):

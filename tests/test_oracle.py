@@ -73,6 +73,51 @@ def test_rk4_matches_exact_truncated_propagator():
     assert trace_norm_distance(out.entries, exact) < 1e-12
 
 
+def test_rk4_number_and_squeezed_match_exact_truncated_propagator():
+    # the number state packs one real diagonal, the squeezed vacuum the real
+    # parts of its even offsets; its mass near the top level needs the
+    # finer step for 1e-12
+    for spec, dim, tau, dt in (
+        (StateSpec.number(3), 48, 2.0, 0.002),
+        (StateSpec.squeezed_vacuum(1.0), 48, 0.5, 0.0005),
+    ):
+        rho0 = density_from_vector(state_vector(spec, dim))
+        out = integrate_master_equation(rho0, 1.0, tau, dt)
+        exact = exact_truncated_evolution(rho0.entries, tau)
+        assert trace_norm_distance(out.entries, exact) < 1e-12
+
+
+def test_rk4_matches_exact_propagator_on_every_offset_and_part():
+    # a random non-Hermitian complex matrix, not phase covariant, fills the
+    # real and the imaginary part of every offset; the geometric weights keep
+    # the top level below the truncation limit
+    dim, tau = 12, 0.2
+    rng = np.random.default_rng(7)
+    w = 0.3 ** np.arange(dim)
+    x = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))) * np.outer(w, w)
+    out = integrate_master_equation(DensityMatrix(x), 1.0, tau, 0.0005)
+    exact = exact_truncated_evolution(x, tau)
+    assert trace_norm_distance(out.entries, exact) < 1e-12
+
+
+def test_rk4_keeps_empty_band_parts_exactly_zero():
+    # the real squeezed vacuum holds no odd offset and no imaginary part
+    dim = 48
+    rho0 = density_from_vector(state_vector(StateSpec.squeezed_vacuum(1.0), dim))
+    out = integrate_master_equation(rho0, 1.0, 0.25, 0.002).entries
+    for d in range(1 - dim, dim):
+        held, got = np.diagonal(rho0.entries, d), np.diagonal(out, d)
+        for part in ("real", "imag"):
+            if not getattr(held, part).any():
+                assert not getattr(got, part).any()
+    assert not out.imag.any() and not np.diagonal(out, 1).any()
+
+
+def test_rk4_zero_input_returns_zeros():
+    out = integrate_master_equation(DensityMatrix(np.zeros((8, 8), complex)), 1.0, 0.1, 0.005)
+    np.testing.assert_array_equal(out.entries, np.zeros((8, 8)))
+
+
 def test_rk4_output_is_exactly_hermitian_at_the_box_edge():
     # squeezed r=1 at dim 68 keeps ~1e-6 of its output mass near the top
     # level, where a one-sided edge rate used to break Hermiticity
