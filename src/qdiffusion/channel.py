@@ -35,6 +35,7 @@ from .fock import (
     DensityMatrix,
     StateSpec,
     _exp_quadratic_raising,
+    coherent_gram,
     density_from_vector,
     ladder_diagonal,
     ordered_gaussian_kernel,
@@ -329,12 +330,19 @@ def evolve_via_p_integral(
 ) -> DensityMatrix:
     """Integral-form solution 1:
     rho(t) = (1/(tau+1)) int d2a/pi e^{-|a|^2/(tau+1)} P(a, 0) K(a)
-    with K the ordered Gaussian kernel of the channel.
+    with K(a) = :exp[-a'a/(tau+1) + (a a' + a* a)/(1+tau)]: the ordered
+    Gaussian kernel of the channel.
 
     Delta P-functions bypass quadrature (the integrand is evaluated at the
-    spike); Gaussian or grid-sampled P-functions are integrated on the grid.
-    At tau = 0 the kernel degenerates to the coherent projector and the route
-    reproduces the input exactly.
+    spike).  Gaussian or grid-sampled P-functions are integrated on the grid
+    by moments: with d = tau/(tau+1), mu = a/(1+tau) and u = |mu> the
+    normalized coherent column, the kernel expands as
+      K(a)[i, j] = e^{|mu|^2} sum_k d^k sqrt(C(i,k) C(j,k)) u_{i-k} conj(u_{j-k}),
+    so the node sum is one weighted coherent Gram S = sum c u u' (with
+    e^{|mu|^2} folded into c, which leaves the decaying e^{-|a|^2 tau/(tau+1)^2})
+    followed by the shift sum rho[k:, k:] += outer(b_k, b_k) S[:dim-k, :dim-k],
+    b_k[m] = sqrt(d^k C(m+k, k)).  At tau = 0 only k = 0 survives, mu = a, and
+    the route is the forward P transform of its input.
     """
     tau = _validate_tau(tau)
     if isinstance(p_rep, PFunctionAnalytic) and p_rep.kind == "delta":
@@ -345,16 +353,19 @@ def evolve_via_p_integral(
         _check_trace(rho, "p-integral (delta)")
         return DensityMatrix(rho, label="p_integral")
 
+    d = tau / (tau + 1.0)
+
     def assemble(g: ComplexGrid) -> np.ndarray:
         nodes, weights = g.nodes_weights()
         pvals = np.asarray(p_rep(nodes), dtype=np.complex128)
-        envelope = np.exp(-np.abs(nodes) ** 2 / (tau + 1.0)) / (tau + 1.0)
-        coeff = weights * pvals * envelope / np.pi
-        out = np.zeros((dim, dim), dtype=np.complex128)
-        for c, alpha in zip(coeff, nodes):
-            if c == 0:
-                continue
-            out += c * _diffusion_kernel(alpha, tau, dim)
+        envelope = np.exp(-np.abs(nodes) ** 2 * (tau / (tau + 1.0) ** 2)) / (tau + 1.0)
+        gram = coherent_gram(nodes / (1.0 + tau), weights * pvals * envelope / np.pi, dim)
+        out = gram.copy()
+        # b_k[m] = b_{k-1}[m+1] sqrt(d (m+1)/k), since C(m+k, k) = C(m+k, k-1) (m+1)/k
+        band = np.ones(dim)
+        for k in range(1, dim):
+            band = band[1:] * np.sqrt(d * np.arange(1, dim - k + 1) / k)
+            out[k:, k:] += np.outer(band, band) * gram[: dim - k, : dim - k]
         return out
 
     rho = integrate_with_refinement(assemble, grid, check_convergence)

@@ -102,6 +102,14 @@ class DensityMatrix:
         return self.entries.shape[0]
 
 
+def _sech(r: float) -> float:
+    """1/cosh(r), which underflows to 0 where cosh(r) overflows (|r| > ~710)."""
+    try:
+        return 1.0 / math.cosh(r)
+    except OverflowError:
+        return 0.0
+
+
 def state_vector(spec: StateSpec, dim: int) -> np.ndarray:
     """Normalized truncated expansion of the requested state.
 
@@ -109,7 +117,8 @@ def state_vector(spec: StateSpec, dim: int) -> np.ndarray:
     number:          unit vector at index l
     squeezed_vacuum: c_{2k} = sqrt(sech r) (tanh(r)/2)^k sqrt((2k)!)/k!
     Raises TruncationLoss when the truncated expansion retains less than
-    99.9% of its mass before renormalization.
+    99.9% of its mass before renormalization; a squeeze whose sech underflows
+    (|r| > ~710) keeps none.
     """
     _validate_dim(dim)
     if spec.kind == "number":
@@ -124,7 +133,7 @@ def state_vector(spec: StateSpec, dim: int) -> np.ndarray:
     else:  # squeezed_vacuum
         v = np.zeros(dim, dtype=np.complex128)
         t = math.tanh(spec.squeeze) / 2.0
-        v[0] = math.sqrt(1.0 / math.cosh(spec.squeeze))
+        v[0] = math.sqrt(_sech(spec.squeeze))
         for k in range(1, (dim - 1) // 2 + 1):
             v[2 * k] = v[2 * (k - 1)] * t * math.sqrt((2 * k) * (2 * k - 1)) / k
 
@@ -146,6 +155,15 @@ def coherent_column_matrix(alphas, dim: int, normalized: bool = True) -> np.ndar
     for n in range(1, dim):
         v[n] = v[n - 1] * alphas / math.sqrt(n)
     return v
+
+
+def coherent_gram(alphas: np.ndarray, coeffs: np.ndarray, dim: int) -> np.ndarray:
+    """sum_j coeffs[j] |alpha_j><alpha_j| over truncated coherent vectors, as one
+    matmul of the scaled columns with the columns conjugated in place."""
+    cols = coherent_column_matrix(alphas, dim)
+    scaled = cols * coeffs
+    np.conjugate(cols, out=cols)
+    return scaled @ cols.T
 
 
 def density_from_vector(v: np.ndarray, label: str = "") -> DensityMatrix:

@@ -24,6 +24,7 @@ from .fock import (
     StateSpec,
     annihilation_matrix,
     coherent_column_matrix,
+    coherent_gram,
     density_from_vector,
     state_vector,
 )
@@ -111,9 +112,7 @@ def rho_from_p(
     def assemble(g: ComplexGrid) -> np.ndarray:
         nodes, weights = g.nodes_weights()
         pvals = np.asarray(p(nodes), dtype=np.complex128)
-        cols = coherent_column_matrix(nodes, dim)
-        scaled = cols * (weights * pvals / np.pi)[None, :]
-        return scaled @ cols.conj().T
+        return coherent_gram(nodes, weights * pvals / np.pi, dim)
 
     rho = integrate_with_refinement(assemble, grid, check_convergence)
     return DensityMatrix(rho, label="p_representation")
@@ -164,10 +163,13 @@ def p_from_rho_mehta(
     def integrand(betas: np.ndarray) -> np.ndarray:
         betas = np.asarray(betas, dtype=np.complex128).ravel()
         # unnormalized monomial columns u_n = b^n / sqrt(n!); the product
-        # conj(u(-b)) . rho . u(b) equals <-b|rho|b> e^{|b|^2} exactly.
+        # conj(u(-b)) . rho . u(b) equals <-b|rho|b> e^{|b|^2} exactly, and
+        # conj(u_n(-b)) = (-1)^n conj(u_n(b)), so u is reused as the left side.
         u = coherent_column_matrix(betas, rho.dim, normalized=False)
-        left = coherent_column_matrix(-betas.conj(), rho.dim, normalized=False)
-        kernel = np.einsum("nj,nm,mj->j", left, rho.entries, u)
+        right = rho.entries @ u
+        left = np.conjugate(u, out=u)
+        np.negative(left[1::2], out=left[1::2])
+        kernel = np.einsum("nj,nj->j", left, right)
         phase = np.exp(betas.conj() * alpha - betas * alpha.conjugate())
         return kernel * phase
 

@@ -10,6 +10,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from qdiffusion.fock import coherent_column_matrix, ordered_gaussian_kernel
+
 
 def brute_laguerre(l: int, x: complex) -> complex:
     """L_l(x) as the literal binomial sum with exact rational coefficients."""
@@ -85,3 +87,33 @@ def exact_truncated_evolution(rho: np.ndarray, tau: float) -> np.ndarray:
 def trace_norm_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Half the trace norm via singular values (independent of eigvalsh)."""
     return 0.5 * float(np.linalg.svd(a - b, compute_uv=False).sum())
+
+
+def per_node_p_integral(p, tau: float, grid, dim: int) -> np.ndarray:
+    """Integral-form solution 1 on one grid as the literal node sum
+    sum_j c_j :exp[-a'a/(tau+1) + (a_j a' + a_j* a)/(1+tau)]:, one dense ordered
+    kernel per node, with c_j = w_j P(a_j) e^{-|a_j|^2/(tau+1)} / ((tau+1) pi)."""
+    nodes, weights = grid.nodes_weights()
+    pvals = np.asarray(p(nodes), dtype=np.complex128)
+    envelope = np.exp(-np.abs(nodes) ** 2 / (tau + 1.0)) / (tau + 1.0)
+    coeff = weights * pvals * envelope / np.pi
+    out = np.zeros((dim, dim), dtype=np.complex128)
+    for c, alpha in zip(coeff, nodes):
+        mu = alpha / (1.0 + tau)
+        out += c * ordered_gaussian_kernel(-1.0 / (tau + 1.0), mu, np.conjugate(mu), dim)
+    return out
+
+
+def einsum_mehta(rho: np.ndarray, alpha: complex, grid) -> complex:
+    """The Mehta inversion e^{|a|^2} int_{|b| <= radius} d2b/pi
+    conj(u(-b)) rho u(b) e^{b* a - b a*} with both monomial column sets built
+    by their own recurrence and contracted in one three-operand einsum."""
+    nodes, weights = grid.nodes_weights()
+    inside = np.abs(nodes) <= grid.radius
+    betas, weights = nodes[inside], weights[inside]
+    dim = rho.shape[0]
+    u = coherent_column_matrix(betas, dim, normalized=False)
+    left = coherent_column_matrix(-betas.conj(), dim, normalized=False)
+    kernel = np.einsum("nj,nm,mj->j", left, rho, u)
+    phase = np.exp(betas.conj() * alpha - betas * np.conjugate(alpha))
+    return complex(math.exp(abs(alpha) ** 2) * (weights * kernel * phase).sum() / np.pi)

@@ -39,9 +39,9 @@ from qdiffusion.fock import (
     trace_distance,
 )
 from qdiffusion.oracle import ComplexGrid, integrate_master_equation
-from qdiffusion.phase_space import PFunctionAnalytic
+from qdiffusion.phase_space import PFunctionAnalytic, rho_from_p
 
-from helpers import dense_kraus, dense_ladder
+from helpers import dense_kraus, dense_ladder, per_node_p_integral
 
 
 def _projector(spec, dim):
@@ -372,6 +372,37 @@ def test_p_integral_convergence_guard():
             ComplexGrid(1.0, 16, rule="midpoint"),
             24,
         )
+
+
+def _skewed_p(alpha):
+    # complex-valued and without any reflection symmetry; the polynomial factor
+    # has zero moments about the centre, so the total weight stays 1
+    c = 0.4 + 0.2j
+    x = np.asarray(alpha) - c
+    return (1.0 + 0.3j * x + 0.2 * np.conjugate(x) ** 2) * np.exp(-np.abs(x) ** 2 / 0.6) / 0.6
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.7, 2.5])
+def test_p_integral_moments_match_per_node_kernels(tau):
+    dim, grid = 32, ComplexGrid(5.0, 32)
+    out = evolve_via_p_integral(_skewed_p, tau, grid, dim, check_convergence=False)
+    ref = per_node_p_integral(_skewed_p, tau, grid, dim)
+    assert np.max(np.abs(out.entries - ref)) < 1e-13
+    if tau == 0:
+        forward = rho_from_p(_skewed_p, dim, grid, check_convergence=False)
+        assert np.max(np.abs(out.entries - forward.entries)) < 1e-13
+
+
+def test_p_integral_far_from_origin_matches_closed_form():
+    # centre 8 at dim 160: the kernel's e^{|mu|^2} ~ e^{28} is folded into the
+    # node weights, so no column or partial sum overflows or cancels
+    dim, z, s, tau = 160, 8.0, 0.5, 1.0
+    out = evolve_via_p_integral(
+        PFunctionAnalytic.gaussian(z, s), tau, ComplexGrid(12.0, 96), dim,
+        check_convergence=False,
+    )
+    ref = coherent_output(z, s + tau, dim)
+    assert np.max(np.abs(out.entries - ref.entries)) < 1e-10
 
 
 def test_p_integral_zero_time_reproduces_input():

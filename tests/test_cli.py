@@ -290,6 +290,19 @@ def test_exit_code_truncation_loss(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("squeeze", [1000.0, -1000.0])
+def test_squeeze_beyond_cosh_range_exits_truncation_loss(tmp_path, capsys, squeeze):
+    cfg = _write_config(tmp_path, {
+        "input": {"kind": "squeezed_vacuum", "squeeze": squeeze},
+        "tau_values": [0.5],
+        "cutoff_dim": 20,
+        "routes": ["kraus", "husimi_integral", "ode_oracle"],
+        "output_dir": str(tmp_path / "out"),
+    })
+    assert main(["run", "--config", str(cfg)]) == 4
+    assert "keeps only 0.000000 of its mass" in capsys.readouterr().err
+
+
 def test_cutoff_beyond_rk4_stability_edge_exits_zero(tmp_path):
     # |z|^2 = 100 resolves to dim 411, where the fixed 0.002 step would leave
     # RK4's stability interval; the oracle step shrinks with the cutoff

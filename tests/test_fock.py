@@ -13,6 +13,7 @@ from qdiffusion.fock import (
     DensityMatrix,
     StateSpec,
     annihilation_matrix,
+    coherent_gram,
     creation_matrix,
     default_cutoff_dim,
     density_from_vector,
@@ -95,6 +96,24 @@ def test_squeezed_vacuum_structure():
     # raw amplitudes before renormalization follow sqrt(sech) (tanh/2)^k sqrt((2k)!)/k!
     c2 = math.sqrt(1 / math.cosh(lam)) * (math.tanh(lam) / 2) * math.sqrt(2)
     assert v[2] == pytest.approx(c2, rel=1e-12)
+
+
+@pytest.mark.parametrize("lam", [0.5, -1.0, 1.5])
+def test_squeezed_vacuum_bit_identical_to_cosh_form(lam):
+    dim = 120
+    v = np.zeros(dim, dtype=np.complex128)
+    v[0] = math.sqrt(1.0 / math.cosh(lam))
+    for k in range(1, (dim - 1) // 2 + 1):
+        v[2 * k] = v[2 * (k - 1)] * (math.tanh(lam) / 2.0) * math.sqrt((2 * k) * (2 * k - 1)) / k
+    v /= math.sqrt(float(np.vdot(v, v).real))
+    np.testing.assert_array_equal(state_vector(StateSpec.squeezed_vacuum(lam), dim), v)
+
+
+@pytest.mark.parametrize("lam", [711.0, 1000.0, -1000.0])
+def test_squeeze_beyond_cosh_range_keeps_no_mass(lam):
+    # cosh overflows here; sech underflows to 0 and the expansion is empty
+    with pytest.raises(TruncationLoss, match="keeps only 0.000000"):
+        state_vector(StateSpec.squeezed_vacuum(lam), 20)
 
 
 def test_truncation_loss_raised():
@@ -185,6 +204,18 @@ def test_coherent_columns_match_factorial_formula():
             cols[:, j], math.exp(-abs(z) ** 2 / 2) * expected, rtol=1e-13, atol=0
         )
     np.testing.assert_array_equal(coherent_column_matrix(alphas[1], dim), cols[:, 1])
+
+
+def test_coherent_gram_is_weighted_projector_sum():
+    dim = 10
+    alphas = np.array([0.0, 0.3 - 1.1j, -2.0 + 0.5j])
+    coeffs = np.array([0.5, -0.25 + 1j, 2.0j])
+    expected = np.zeros((dim, dim), dtype=np.complex128)
+    for c, z in zip(coeffs, alphas):
+        v = np.array([math.exp(-abs(z) ** 2 / 2) * z**n / math.sqrt(math.factorial(n))
+                      for n in range(dim)])
+        expected += c * np.outer(v, v.conj())
+    np.testing.assert_allclose(coherent_gram(alphas, coeffs, dim), expected, rtol=0, atol=1e-14)
 
 
 def test_coherent_resolution_of_identity():

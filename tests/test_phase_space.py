@@ -13,6 +13,7 @@ from qdiffusion.errors import (
 )
 from qdiffusion.fock import (
     StateSpec,
+    coherent_column_matrix,
     density_from_vector,
     state_metrics,
     state_vector,
@@ -29,6 +30,8 @@ from qdiffusion.phase_space import (
     p_from_rho_mehta,
     rho_from_p,
 )
+
+from helpers import einsum_mehta
 
 
 def _projector(spec, dim):
@@ -145,6 +148,26 @@ def test_mehta_inversion_of_evolved_coherent():
     for alpha in (0.5 + 0.5j, 1.5, -0.3 + 1.0j):
         expected = p_coherent_evolved(alpha, 1.0, 0.5)
         assert abs(p_from_rho_mehta(rho, alpha, grid) - expected) < 1e-5
+
+
+def test_mehta_left_columns_are_signed_conjugates():
+    # conj(u_n(-b)) = (-1)^n conj(u_n(b)) holds bit for bit: negation and
+    # conjugation only flip signs, which round-to-nearest preserves
+    rng = np.random.default_rng(5)
+    betas = rng.normal(scale=3.0, size=200) + 1j * rng.normal(scale=3.0, size=200)
+    u = coherent_column_matrix(betas, 80, normalized=False)
+    signed = np.conjugate(u) * ((-1.0) ** np.arange(80))[:, None]
+    np.testing.assert_array_equal(signed, coherent_column_matrix(-betas.conj(), 80, normalized=False))
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.3, -0.3, 0.3j, -0.3j, 0.6 + 0.6j])
+def test_mehta_matches_einsum_reference(offset):
+    z, s, dim = np.exp(0.7j), 0.5, 80
+    grid = ComplexGrid(6.0, 64)
+    rho = coherent_output(z, s, dim)
+    got = p_from_rho_mehta(rho, z + offset, grid)
+    ref = einsum_mehta(rho.entries, z + offset, grid)
+    assert abs(got - ref) <= 1e-7 * abs(ref)
 
 
 def test_mehta_inversion_of_thermal():
