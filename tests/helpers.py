@@ -1,8 +1,9 @@
 """Independent oracles shared by the tests.
 
 Everything here is deliberately naive (exact rational sums, direct tensor
-quadrature, singular values for the trace norm) so the package under test
-never validates itself against its own code paths.
+quadrature, singular values for the trace norm, one dense kernel per
+quadrature node) so the package under test never validates itself against
+its own code paths.
 """
 
 import math

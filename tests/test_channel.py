@@ -394,8 +394,9 @@ def test_p_integral_moments_match_per_node_kernels(tau):
 
 
 def test_p_integral_far_from_origin_matches_closed_form():
-    # centre 8 at dim 160: the kernel's e^{|mu|^2} ~ e^{28} is folded into the
-    # node weights, so no column or partial sum overflows or cancels
+    # centre 8 at dim 160: the kernel's e^{|mu|^2} (e^16 at the centre, e^72 at
+    # the grid corners) is folded into the node weights, so no column or
+    # partial sum overflows or cancels
     dim, z, s, tau = 160, 8.0, 0.5, 1.0
     out = evolve_via_p_integral(
         PFunctionAnalytic.gaussian(z, s), tau, ComplexGrid(12.0, 96), dim,
