@@ -1,108 +1,12 @@
 """qdiffusion: a verified numerical laboratory for the single-mode diffusion channel.
 
-Density operators are pushed through the channel by four independent routes
-(Kraus sum, two integral-form solutions, closed-form evolved states) and
+Density operators are pushed through the channel by the Kraus sum, the
+closed-form evolved states and the paper's two integral-form solutions, and
 cross-checked against a direct master-equation integrator and the channel's
-classical phase-space correspondence.
+classical phase-space correspondence.  The integral forms evaluate the same
+normally ordered expressions as the closed forms, so only the Kraus sum and
+the integrator are independent of them.  The API is imported from the
+submodules (qdiffusion.fock, qdiffusion.channel, ...).
 """
 
 __version__ = "0.1.0"
-
-from .errors import QDiffusionError
-from .fock import (
-    DensityMatrix,
-    StateMetrics,
-    StateSpec,
-    annihilation_matrix,
-    creation_matrix,
-    default_cutoff_dim,
-    density_from_vector,
-    ordered_gaussian_kernel,
-    state_metrics,
-    state_vector,
-    trace_distance,
-)
-from .special import (
-    gaussian_moment_integral,
-    gaussian_quadratic_integral,
-    hermite2,
-    laguerre,
-    laguerre_hermite_identity_residual,
-)
-from .oracle import (
-    ComplexGrid,
-    QuadratureResult,
-    integrate_master_equation,
-    lindblad_rhs,
-    quadrature_2d,
-)
-from .channel import (
-    KrausSet,
-    build_kraus_set,
-    coherent_output,
-    completeness_residual,
-    default_kraus_max_index,
-    evolve_via_husimi_integral,
-    evolve_via_p_integral,
-    kraus_evolve,
-    kraus_operator,
-    number_output,
-    resolve_squeezed_sign,
-    squeezed_output,
-)
-from .phase_space import (
-    PFunctionAnalytic,
-    coherent_derivative_identity_residual,
-    diffusion_pde_residual,
-    diffusion_pde_residual_analytic,
-    husimi_cross_element,
-    p_coherent_evolved,
-    p_from_rho_mehta,
-    rho_from_p,
-)
-
-__all__ = [
-    "__version__",
-    "QDiffusionError",
-    "DensityMatrix",
-    "StateMetrics",
-    "StateSpec",
-    "annihilation_matrix",
-    "creation_matrix",
-    "default_cutoff_dim",
-    "density_from_vector",
-    "ordered_gaussian_kernel",
-    "state_metrics",
-    "state_vector",
-    "trace_distance",
-    "gaussian_moment_integral",
-    "gaussian_quadratic_integral",
-    "hermite2",
-    "laguerre",
-    "laguerre_hermite_identity_residual",
-    "ComplexGrid",
-    "QuadratureResult",
-    "integrate_master_equation",
-    "lindblad_rhs",
-    "quadrature_2d",
-    "KrausSet",
-    "build_kraus_set",
-    "coherent_output",
-    "completeness_residual",
-    "default_kraus_max_index",
-    "evolve_via_husimi_integral",
-    "evolve_via_p_integral",
-    "kraus_evolve",
-    "kraus_operator",
-    "number_output",
-    "resolve_squeezed_sign",
-    "squeezed_output",
-    "PFunctionAnalytic",
-    "coherent_derivative_identity_residual",
-    "diffusion_pde_residual",
-    "diffusion_pde_residual_analytic",
-    "husimi_cross_element",
-    "p_coherent_evolved",
-    "p_from_rho_mehta",
-    "rho_from_p",
-]

@@ -1,7 +1,7 @@
 """The single-mode diffusion channel.
 
-Four independent realizations of the same completely positive map,
-parameterized by the dimensionless channel time tau >= 0:
+Realizations of the same completely positive map, parameterized by the
+dimensionless channel time tau >= 0:
 
 * ``kraus_evolve``             -- the operator-sum over M_{m,n}
 * ``coherent_output`` /
@@ -12,6 +12,11 @@ parameterized by the dimensionless channel time tau >= 0:
   (solution 2), evaluated through the Gaussian formulas by analytic
   continuation: its b-integral carries a Gaussian coefficient (tau+1)/tau > 0
   and is never amenable to raw quadrature.
+
+The delta P-integral and the cross-element route end in the same normally
+ordered expressions as the closed forms, so their agreement checks the
+algebra that leads there, not independent arithmetic; the Kraus sum is
+independent of the closed forms.
 
 tau = 0 is the identity channel everywhere; no route evaluates 1/tau there.
 """
@@ -34,11 +39,11 @@ from .errors import (
 from .fock import (
     DensityMatrix,
     StateSpec,
-    _exp_quadratic_raising,
     coherent_gram,
     density_from_vector,
     ladder_diagonal,
     ordered_gaussian_kernel,
+    quadratic_kernel,
     state_vector,
 )
 from .oracle import ComplexGrid
@@ -254,20 +259,6 @@ def number_output(l: int, tau: float, dim: int) -> DensityMatrix:
     return DensityMatrix(rho, label="closed_form")
 
 
-def _squeezed_body(lambda_: float, tau: float, dim: int) -> np.ndarray:
-    """Unsigned squeezed output sech(r)/sqrt(G)
-    e^{(tanh r/2G) a'^2} (1 + c)^(a'a) e^{(tanh r/2G) a^2}
-    with G = (tau+1)^2 - tau^2 tanh^2 r and c = (tau+1)/(G tau) - 1/tau."""
-    th = math.tanh(lambda_)
-    big_g = (tau + 1.0) ** 2 - tau**2 * th**2
-    c = (tau + 1.0) / (big_g * tau) - 1.0 / tau
-    quad = th / (2.0 * big_g)
-    up = _exp_quadratic_raising(quad, dim)
-    diag = (1.0 + c) ** np.arange(dim)
-    body = (up * diag[None, :]) @ up.T
-    return (1.0 / math.cosh(lambda_)) / math.sqrt(big_g) * body
-
-
 def _unit_trace_sign(trace: float, context: str) -> int:
     """The sign s in {+1, -1} with s * trace within SIGN_TRACE_TOL of 1."""
     plus_ok = abs(trace - 1.0) <= SIGN_TRACE_TOL
@@ -279,6 +270,23 @@ def _unit_trace_sign(trace: float, context: str) -> int:
     return 1 if plus_ok else -1
 
 
+def _signed_squeezed_body(lambda_: float, tau: float, dim: int) -> tuple:
+    """(sign, body) of the squeezed output: the unsigned body sech(r)/sqrt(G)
+    e^{(tanh r/2G) a'^2} (1 + c)^(a'a) e^{(tanh r/2G) a^2}
+    with G = (tau+1)^2 - tau^2 tanh^2 r and c = (tau+1)/(G tau) - 1/tau,
+    and the one sign that gives it unit trace."""
+    th = math.tanh(lambda_)
+    big_g = (tau + 1.0) ** 2 - tau**2 * th**2
+    c = (tau + 1.0) / (big_g * tau) - 1.0 / tau
+    kernel = quadratic_kernel(th / (2.0 * big_g), 1.0 + c, dim)
+    body = (1.0 / math.cosh(lambda_)) / math.sqrt(big_g) * kernel
+    sign = _unit_trace_sign(
+        float(np.trace(body).real),
+        f"squeezed closed form at lambda={lambda_}, tau={tau}, dim={dim}",
+    )
+    return sign, body
+
+
 def resolve_squeezed_sign(lambda_: float, tau: float, dim: int) -> int:
     """Overall sign making the squeezed closed form a unit-trace state.
 
@@ -288,10 +296,7 @@ def resolve_squeezed_sign(lambda_: float, tau: float, dim: int) -> int:
     tau = _validate_tau(tau)
     if tau == 0:
         return 1
-    tr = float(np.trace(_squeezed_body(lambda_, tau, dim)).real)
-    return _unit_trace_sign(
-        tr, f"squeezed closed form at lambda={lambda_}, tau={tau}, dim={dim}"
-    )
+    return _signed_squeezed_body(lambda_, tau, dim)[0]
 
 
 def squeezed_output(lambda_: float, tau: float, dim: int) -> DensityMatrix:
@@ -304,21 +309,10 @@ def squeezed_output(lambda_: float, tau: float, dim: int) -> DensityMatrix:
         return density_from_vector(
             state_vector(StateSpec.squeezed_vacuum(lambda_), dim), label="closed_form"
         )
-    sign = resolve_squeezed_sign(lambda_, tau, dim)
-    rho = sign * _squeezed_body(lambda_, tau, dim)
+    sign, body = _signed_squeezed_body(lambda_, tau, dim)
+    rho = sign * body
     _check_trace(rho, "squeezed closed form")
     return DensityMatrix(rho, label="closed_form")
-
-
-def _diffusion_kernel(alpha: complex, tau: float, dim: int) -> np.ndarray:
-    """Integrand kernel of integral-form solution 1 at phase-space point alpha:
-    :exp[-a'a/(tau+1) + (alpha a' + alpha* a)/(1+tau)]:."""
-    return ordered_gaussian_kernel(
-        lam=-1.0 / (tau + 1.0),
-        mu=alpha / (1.0 + tau),
-        nu=np.conjugate(alpha) / (1.0 + tau),
-        dim=dim,
-    )
 
 
 def evolve_via_p_integral(
@@ -347,9 +341,13 @@ def evolve_via_p_integral(
     tau = _validate_tau(tau)
     if isinstance(p_rep, PFunctionAnalytic) and p_rep.kind == "delta":
         z = p_rep.center
-        rho = (
-            math.exp(-abs(z) ** 2 / (tau + 1.0)) / (tau + 1.0)
-        ) * _diffusion_kernel(z, tau, dim)
+        kernel = ordered_gaussian_kernel(
+            lam=-1.0 / (tau + 1.0),
+            mu=z / (1.0 + tau),
+            nu=np.conjugate(z) / (1.0 + tau),
+            dim=dim,
+        )
+        rho = (math.exp(-abs(z) ** 2 / (tau + 1.0)) / (tau + 1.0)) * kernel
         _check_trace(rho, "p-integral (delta)")
         return DensityMatrix(rho, label="p_integral")
 
@@ -449,13 +447,9 @@ def evolve_via_husimi_integral(
         denom = zeta * zeta - 4.0 * f * g
         lam = zeta * (xi_op * eta_op) * (-1.0) / denom - 1.0 / tau
         # -zeta xi eta / denom with xi eta = xi_op eta_op a'a gives the a'a
-        # coefficient; f eta^2 and g xi^2 give the a^2 and a'^2 coefficients
-        quad_down = f * eta_op**2 / denom
-        quad_up = g * xi_op**2 / denom
-        up = _exp_quadratic_raising(quad_up, dim)
-        down = _exp_quadratic_raising(quad_down, dim).T
-        diag = (1.0 + lam) ** np.arange(dim)
-        body = (up * diag[None, :]) @ down
+        # coefficient; f eta^2 and g xi^2 give the a^2 and a'^2 coefficients,
+        # which are equal because f = g and eta_op^2 = xi_op^2
+        body = quadratic_kernel(g * xi_op**2 / denom, 1.0 + lam, dim)
         unsigned = (1.0 / math.cosh(spec.squeeze) / tau) * body / math.sqrt(denom)
         sign = _unit_trace_sign(float(np.trace(unsigned).real), "cross-element route")
         rho = sign * unsigned

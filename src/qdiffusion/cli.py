@@ -91,17 +91,15 @@ class EvolutionReport:
     checks: dict
     timings: dict
 
-    def as_dict(self, include_timings: bool = True) -> dict:
-        out = {
+    def as_dict(self) -> dict:
+        return {
             "config": self.config_echo,
             "metadata": self.metadata,
             "results": self.results,
             "pairwise": self.pairwise,
             "checks": self.checks,
+            "timings": self.timings,
         }
-        if include_timings:
-            out["timings"] = self.timings
-        return out
 
 
 def _require_keys(obj: dict, allowed: set, required: set, path: str) -> None:
@@ -164,7 +162,8 @@ def _parse_input(obj, path: str) -> StateSpec:
     raise SchemaError(f"{path}.kind", f"unknown state kind {kind!r}")
 
 
-def _resolve_auto_dim(spec: StateSpec, tau_max: float, wants_kraus: bool) -> int:
+def _resolve_auto_dim(spec: StateSpec, tau_max: float, wants_kraus: bool,
+                      kmax: Optional[int]) -> int:
     dim = default_cutoff_dim(spec.input_mean_photon(), tau_max)
     if spec.kind == "number":
         dim = max(dim, 2 * spec.l + 2)
@@ -172,6 +171,8 @@ def _resolve_auto_dim(spec: StateSpec, tau_max: float, wants_kraus: bool) -> int
         # leave headroom above the default Kraus order at this cutoff
         while dim < default_kraus_max_index(tau_max, dim) + 4:
             dim += 4
+        if kmax is not None:
+            dim = max(dim, kmax + 4)
     return dim
 
 
@@ -245,24 +246,21 @@ def parse_config(text: str) -> ScenarioConfig:
     if not isinstance(output_dir, str):
         raise SchemaError("output_dir", "expected a string")
 
+    kmax_raw = raw.get("kraus_max_index", "auto")
+    kmax = None if kmax_raw == "auto" else _parse_int(kmax_raw, "kraus_max_index", 1)
+
     cutoff = raw.get("cutoff_dim", "auto")
     if cutoff == "auto":
         try:
-            dim = _resolve_auto_dim(spec, max(taus), "kraus" in routes)
+            dim = _resolve_auto_dim(spec, max(taus), "kraus" in routes, kmax)
         except OverflowError as exc:
             raise SchemaError("cutoff_dim", f'"auto" cannot size this input: {exc}') from exc
     else:
         dim = _parse_int(cutoff, "cutoff_dim", 2)
     if spec.kind == "number" and spec.l >= dim:
         raise SchemaError("cutoff_dim", f"cutoff {dim} cannot hold number state l={spec.l}")
-
-    kmax_raw = raw.get("kraus_max_index", "auto")
-    if kmax_raw == "auto":
-        kmax = None
-    else:
-        kmax = _parse_int(kmax_raw, "kraus_max_index", 1)
-        if kmax >= dim:
-            raise SchemaError("kraus_max_index", f"must be below cutoff_dim={dim}")
+    if kmax is not None and kmax >= dim:
+        raise SchemaError("kraus_max_index", f"must be below cutoff_dim={dim}")
 
     return ScenarioConfig(
         input=spec,
@@ -317,9 +315,10 @@ def _run_cell(cfg: ScenarioConfig, rho0: DensityMatrix, route: str, tau: float,
         else:
             tau_prev, start = oracle_start
             # 1/(2 dim kappa) keeps h times the generator's spectral radius
-            # (below 4 dim kappa) under 2, inside RK4's stability interval
+            # (below 4 dim kappa) under 2, inside RK4's stability interval;
+            # a span whose quarter underflows to 0 is taken in one step
             span = tau - tau_prev
-            dt = min(ORACLE_DT, span / 4.0, 1.0 / (2.0 * dim * ORACLE_KAPPA))
+            dt = min(ORACLE_DT, span / 4.0, 1.0 / (2.0 * dim * ORACLE_KAPPA)) or span
             state = integrate_master_equation(start, ORACLE_KAPPA, span / ORACLE_KAPPA, dt)
     else:  # pragma: no cover - parse_config rejects unknown routes
         raise ValueError(f"unknown route {route!r}")
@@ -523,7 +522,7 @@ def main(argv=None) -> int:
     except TruncationLoss as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (QDiffusionError, np.linalg.LinAlgError, FloatingPointError) as exc:
+    except (QDiffusionError, np.linalg.LinAlgError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 5
     if not report.checks["all_passed"]:

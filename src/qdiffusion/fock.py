@@ -1,10 +1,10 @@
 """Truncated Fock-space operator algebra.
 
-Everything lives on the basis |0>, ..., |dim-1>.  The ordered Gaussian
-kernel realizes normally ordered exponentials
-:exp[lam a'a + mu a' + nu a]: as the concrete matrix
-exp(mu a') (1+lam)^(a'a) exp(nu a), which is the single primitive every
-closed-form channel output is built from.
+Everything lives on the basis |0>, ..., |dim-1>.  Two kernels realize the
+normally ordered exponentials every closed-form channel output is built from:
+the ordered Gaussian kernel :exp[lam a'a + mu a' + nu a]: as the concrete
+matrix exp(mu a') (1+lam)^(a'a) exp(nu a), and the quadratic kernel
+exp(q a'^2) x^(a'a) exp(q a^2) of the squeezed states.
 """
 
 from dataclasses import dataclass
@@ -202,25 +202,18 @@ def _exp_raising(mu: complex, dim: int) -> np.ndarray:
     return e
 
 
-def _exp_lowering(nu: complex, dim: int) -> np.ndarray:
-    """exp(nu a); the transpose of exp(nu a') because a = (a')^T here."""
-    return _exp_raising(nu, dim).T.copy()
-
-
-def _exp_quadratic_raising(c: complex, dim: int) -> np.ndarray:
-    """exp(c a'^2); entries E[j+2k, j] = c^k/k! sqrt((j+2k)!/j!)."""
-    e = np.eye(dim, dtype=np.complex128)
-    if c == 0:
-        return e
-    for j in range(dim):
-        val = 1.0 + 0j
-        k = 0
-        while j + 2 * (k + 1) < dim:
-            k += 1
-            i = j + 2 * k
-            val = val * c * math.sqrt(i * (i - 1)) / k
-            e[i, j] = val
-    return e
+def _exp_quadratic_raising(c: float, dim: int) -> np.ndarray:
+    """exp(c a'^2) for real c; entries E[j+2k, j] = c^k/k! sqrt((j+2k)!/j!),
+    built for every column j at once along the (-2k)-th diagonal by
+    E[j+2k, j] = E[j+2k-2, j] * c * sqrt((j+2k)(j+2k-1)) / k."""
+    e = np.eye(dim)
+    if c != 0:
+        band = np.ones(dim)
+        for k in range(1, (dim - 1) // 2 + 1):
+            i = np.arange(2 * k, dim)
+            band = band[: i.size] * c * np.sqrt(i * (i - 1)) / k
+            e[i, i - 2 * k] = band
+    return e.astype(np.complex128)
 
 
 def ordered_gaussian_kernel(lam: complex, mu: complex, nu: complex, dim: int) -> np.ndarray:
@@ -232,8 +225,18 @@ def ordered_gaussian_kernel(lam: complex, mu: complex, nu: complex, dim: int) ->
     _validate_dim(dim)
     diag = np.power(1.0 + complex(lam), np.arange(dim))
     e_up = _exp_raising(mu, dim)
-    e_down = _exp_lowering(nu, dim)
+    e_down = _exp_raising(nu, dim).T
     return (e_up * diag[None, :]) @ e_down
+
+
+def quadratic_kernel(quad: float, ratio: float, dim: int) -> np.ndarray:
+    """exp(quad a'^2) ratio^(a'a) exp(quad a^2) for real quad, the normally
+    ordered exponential :exp[(ratio-1) a'a + quad (a'^2 + a^2)]:.  exp(quad a^2)
+    is the transpose of exp(quad a'^2), so one triangle is built."""
+    _validate_dim(dim)
+    up = _exp_quadratic_raising(quad, dim)
+    diag = ratio ** np.arange(dim)
+    return (up * diag[None, :]) @ up.T
 
 
 @dataclass(frozen=True)

@@ -50,6 +50,23 @@ def dense_ladder(dim: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1.0, dim)), 1)
 
 
+def scalar_exp_quadratic_raising(c: float, dim: int) -> np.ndarray:
+    """exp(c a'^2) entry by entry, column by column, in complex scalars:
+    E[j+2k, j] = E[j+2k-2, j] * c * sqrt((j+2k)(j+2k-1)) / k."""
+    e = np.eye(dim, dtype=np.complex128)
+    if c == 0:
+        return e
+    for j in range(dim):
+        val = 1.0 + 0j
+        k = 0
+        while j + 2 * (k + 1) < dim:
+            k += 1
+            i = j + 2 * k
+            val = val * c * math.sqrt(i * (i - 1)) / k
+            e[i, j] = val
+    return e
+
+
 def dense_kraus(m: int, n: int, tau: float, dim: int) -> np.ndarray:
     """M_{m,n} as the literal product pref a'^m (1+tau)^(-a'a) a^n of dense
     matrix powers."""

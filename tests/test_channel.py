@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from qdiffusion import channel
 from qdiffusion.channel import (
     _loss_bands,
     build_kraus_set,
@@ -34,6 +35,7 @@ from qdiffusion.fock import (
     StateSpec,
     annihilation_matrix,
     density_from_vector,
+    quadratic_kernel,
     state_metrics,
     state_vector,
     trace_distance,
@@ -303,6 +305,25 @@ def test_squeezed_output_trace_and_sign(lam, tau):
     assert resolve_squeezed_sign(lam, tau, dim) == 1
     out = squeezed_output(lam, tau, dim)
     assert abs(state_metrics(out).trace - 1.0) < 1e-6
+
+
+@pytest.mark.parametrize("build", [
+    lambda: squeezed_output(0.5, 0.5, 32),
+    lambda: resolve_squeezed_sign(-0.5, 0.5, 32),
+    lambda: evolve_via_husimi_integral(
+        _projector(StateSpec.squeezed_vacuum(0.5), 32), StateSpec.squeezed_vacuum(0.5), 0.5, 32
+    ),
+], ids=["squeezed_output", "resolve_squeezed_sign", "husimi_integral"])
+def test_squeezed_routes_build_one_quadratic_kernel(monkeypatch, build):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return quadratic_kernel(*args)
+
+    monkeypatch.setattr(channel, "quadratic_kernel", counted)
+    build()
+    assert len(calls) == 1
 
 
 def test_squeezed_output_matches_rk4():

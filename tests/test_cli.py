@@ -332,6 +332,52 @@ def test_kraus_order_above_factorial_range_exits_zero(tmp_path):
     assert report["pairwise"][0]["trace_distance"] < 1e-12
 
 
+@pytest.mark.parametrize("kmax, dim", [(100, 104), (30, 34)])
+def test_auto_cutoff_leaves_room_for_explicit_kraus_order(tmp_path, kmax, dim):
+    cfg = {
+        "input": {"kind": "coherent", "z": 1},
+        "tau_values": [0.5],
+        "routes": ["kraus", "closed_form"],
+        "cutoff_dim": "auto",
+        "kraus_max_index": kmax,
+        "output_dir": str(tmp_path / "out"),
+    }
+    assert parse_config(json.dumps(cfg)).cutoff_dim == dim
+    assert main(["run", "--config", str(_write_config(tmp_path, cfg))]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["results"][0]["kraus_max_index"] == kmax
+    assert report["pairwise"][0]["trace_distance"] < 1e-12
+
+
+TINY_TAU_INPUTS = {
+    "coherent": {"kind": "coherent", "z": 1},
+    "number": {"kind": "number", "l": 3},
+    "squeezed": {"kind": "squeezed_vacuum", "squeeze": 0.5},
+}
+
+
+@pytest.mark.parametrize("kind, route, tau, code", [
+    ("number", "closed_form", 1e-200, 5),
+    ("number", "husimi_integral", 1e-200, 5),
+    ("squeezed", "husimi_integral", 1e-200, 5),
+    ("coherent", "ode_oracle", 5e-324, 0),
+    ("number", "ode_oracle", 5e-324, 0),
+    ("squeezed", "ode_oracle", 5e-324, 0),
+])
+def test_tiny_tau_ends_in_documented_exit_code(tmp_path, capsys, kind, route, tau, code):
+    # 1/tau overflows or a closed-form coefficient divides by an underflowed
+    # power (exit 5); a span whose quarter underflows is integrated in one step
+    cfg = _write_config(tmp_path, {
+        "input": TINY_TAU_INPUTS[kind],
+        "tau_values": [tau],
+        "routes": [route],
+        "cutoff_dim": 40,
+        "output_dir": str(tmp_path / "out"),
+    })
+    assert main(["run", "--config", str(cfg)]) == code
+    capsys.readouterr()
+
+
 def test_output_dir_override(tmp_path):
     cfg = _write_config(tmp_path, dict(MINIMAL, cutoff_dim=32, output_dir=str(tmp_path / "ignored")))
     override = tmp_path / "override"

@@ -12,19 +12,21 @@ from qdiffusion.errors import (
 from qdiffusion.fock import (
     DensityMatrix,
     StateSpec,
+    _exp_quadratic_raising,
     annihilation_matrix,
     coherent_gram,
     creation_matrix,
     default_cutoff_dim,
     density_from_vector,
     ordered_gaussian_kernel,
+    quadratic_kernel,
     state_metrics,
     state_vector,
     trace_distance,
 )
 from qdiffusion.phase_space import coherent_column_matrix
 
-from helpers import trace_norm_distance
+from helpers import dense_ladder, scalar_exp_quadratic_raising, trace_norm_distance
 
 
 def test_annihilation_entries():
@@ -190,6 +192,28 @@ def test_kernel_matches_double_sum():
                 )
         kernel = ordered_gaussian_kernel(lam, mu, nu, dim)
         assert np.max(np.abs(kernel - brute)) < 1e-10
+
+
+@pytest.mark.parametrize("dim", [2, 3, 64, 193])
+@pytest.mark.parametrize("c", [0.0, 0.23, -0.41])
+def test_quadratic_raising_bit_identical_to_scalar_loop(dim, c):
+    np.testing.assert_array_equal(
+        _exp_quadratic_raising(c, dim), scalar_exp_quadratic_raising(c, dim)
+    )
+
+
+@pytest.mark.parametrize("quad, ratio", [(0.2, 0.6), (-0.15, 1.3), (0.0, 0.5)])
+def test_quadratic_kernel_matches_dense_series(quad, ratio):
+    dim = 16
+    raise2 = dense_ladder(dim).T @ dense_ladder(dim).T
+    up = np.zeros((dim, dim))
+    term = np.eye(dim)
+    for k in range(dim // 2 + 1):  # (a'^2)^k vanishes once 2k >= dim
+        up += term
+        term = quad * (term @ raise2) / (k + 1)
+    expected = up @ np.diag(ratio ** np.arange(dim)) @ up.T
+    kernel = quadratic_kernel(quad, ratio, dim)
+    assert np.max(np.abs(kernel - expected)) < 1e-13 * np.max(np.abs(expected))
 
 
 def test_coherent_columns_match_factorial_formula():
