@@ -251,9 +251,10 @@ def number_output(l: int, tau: float, dim: int) -> DensityMatrix:
         )
     thermal = (tau / (tau + 1.0)) ** np.arange(dim)
     diag = np.zeros(dim)
-    for k in range(l + 1):
-        coeff = math.comb(l, k) / math.factorial(k) / (tau * (tau + 1.0)) ** k
-        diag += coeff * ladder_diagonal(thermal, k)
+    with np.errstate(invalid="raise"):  # an overflowed coeff times 0 (tau ~ 5e-324)
+        for k in range(l + 1):
+            coeff = math.comb(l, k) / math.factorial(k) / (tau * (tau + 1.0)) ** k
+            diag += coeff * ladder_diagonal(thermal, k)
     rho = np.diag((tau**l / (tau + 1.0) ** (l + 1)) * diag).astype(np.complex128)
     _check_trace(rho, "number closed form")
     return DensityMatrix(rho, label="closed_form")
@@ -432,7 +433,10 @@ def evolve_via_husimi_integral(
     elif spec.kind == "number":
         l = spec.l
         lam = -(xi_op * eta_op) / zeta - 1.0 / tau
-        kernel0 = np.diag(ordered_gaussian_kernel(lam, 0.0, 0.0, dim))
+        # the diagonal of :exp(lam a'a): = (1+lam)^(a'a); an overflowed lam
+        # (tau ~ 1e-200) raises here instead of spreading NaNs
+        with np.errstate(invalid="raise"):
+            kernel0 = np.power(1.0 + complex(lam), np.arange(dim))
         pref = (-1.0 / tau) * (-1.0) ** l / math.factorial(l)
         diag = np.zeros(dim, dtype=np.complex128)
         for k, coeff in moment_term_coefficients(l, l, zeta):

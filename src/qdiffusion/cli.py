@@ -5,7 +5,7 @@ every requested route, cross-checks the outputs pairwise, and writes a
 machine-readable report plus optional phase-space and trajectory grids.
 
 Exit codes: 0 success, 2 schema error, 3 tolerance failure,
-4 truncation loss, 5 internal numerical error.
+4 truncation loss, 5 internal numerical error or out of memory.
 """
 
 import argparse
@@ -524,6 +524,9 @@ def main(argv=None) -> int:
         return 4
     except (QDiffusionError, np.linalg.LinAlgError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 5
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 5
     if not report.checks["all_passed"]:
         for line in report.checks["failures"]:

@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -358,6 +359,9 @@ TINY_TAU_INPUTS = {
 
 @pytest.mark.parametrize("kind, route, tau, code", [
     ("number", "closed_form", 1e-200, 5),
+    ("number", "closed_form", 5e-324, 5),
+    ("coherent", "husimi_integral", 1e-200, 5),
+    ("coherent", "husimi_integral", 5e-324, 5),
     ("number", "husimi_integral", 1e-200, 5),
     ("squeezed", "husimi_integral", 1e-200, 5),
     ("coherent", "ode_oracle", 5e-324, 0),
@@ -366,7 +370,8 @@ TINY_TAU_INPUTS = {
 ])
 def test_tiny_tau_ends_in_documented_exit_code(tmp_path, capsys, kind, route, tau, code):
     # 1/tau overflows or a closed-form coefficient divides by an underflowed
-    # power (exit 5); a span whose quarter underflows is integrated in one step
+    # power (exit 5); a span whose quarter underflows is integrated in one step.
+    # The first invalid value raises, so no RuntimeWarning is emitted on the way.
     cfg = _write_config(tmp_path, {
         "input": TINY_TAU_INPUTS[kind],
         "tau_values": [tau],
@@ -374,8 +379,52 @@ def test_tiny_tau_ends_in_documented_exit_code(tmp_path, capsys, kind, route, ta
         "cutoff_dim": 40,
         "output_dir": str(tmp_path / "out"),
     })
-    assert main(["run", "--config", str(cfg)]) == code
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["run", "--config", str(cfg)]) == code
     capsys.readouterr()
+
+
+def test_memory_error_exits_five(tmp_path, capsys, monkeypatch):
+    def out_of_memory(cfg):
+        raise MemoryError("Unable to allocate 14.6 TiB for an array")
+
+    monkeypatch.setattr(cli, "run_scenario", out_of_memory)
+    cfg = _write_config(tmp_path, dict(MINIMAL, cutoff_dim=1000000))
+    assert main(["run", "--config", str(cfg)]) == 5
+    assert capsys.readouterr().err.startswith("error: out of memory: Unable to allocate")
+
+
+@pytest.mark.parametrize("doc", [
+    {"input": {"kind": "coherent", "z": [0.46, 2.19]},
+     "routes": ["closed_form", "husimi_integral", "p_integral"]},
+    {"input": {"kind": "squeezed_vacuum", "squeeze": -1.0},
+     "routes": ["closed_form", "husimi_integral"]},
+], ids=["coherent", "squeezed"])
+def test_report_eigenvalues_match_dense_solve(tmp_path, monkeypatch, doc):
+    # the smoke-size analytic sweep: |z| = |2 + i| at a rotated phase, dim 64
+    states = {}
+    run_cell = cli._run_cell
+
+    def recording(cfg, rho0, route, tau, oracle_start):
+        state, extra = run_cell(cfg, rho0, route, tau, oracle_start)
+        states[(tau, route)] = state.entries
+        return state, extra
+
+    monkeypatch.setattr(cli, "_run_cell", recording)
+    doc = dict(doc, tau_values=[0.25, 1.0], cutoff_dim=64, output_dir=str(tmp_path))
+    report = run_scenario(parse_config(json.dumps(doc)))
+
+    def dense(m):
+        return np.linalg.eigvalsh(0.5 * (m + m.conj().T))
+
+    for entry in report.results:
+        expected = dense(states[(entry["tau"], entry["route"])])[0]
+        assert abs(entry["min_eigenvalue"] - expected) <= 1e-12
+    for pair in report.pairwise:
+        delta = states[(pair["tau"], pair["route_a"])] - states[(pair["tau"], pair["route_b"])]
+        expected = 0.5 * np.abs(dense(delta)).sum()
+        assert abs(pair["trace_distance"] - expected) <= 1e-12
 
 
 def test_output_dir_override(tmp_path):

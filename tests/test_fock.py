@@ -12,6 +12,7 @@ from qdiffusion.errors import (
 from qdiffusion.fock import (
     DensityMatrix,
     StateSpec,
+    _eigvalsh,
     _exp_quadratic_raising,
     annihilation_matrix,
     coherent_gram,
@@ -24,6 +25,7 @@ from qdiffusion.fock import (
     state_vector,
     trace_distance,
 )
+from qdiffusion.channel import coherent_output, squeezed_output
 from qdiffusion.phase_space import coherent_column_matrix
 
 from helpers import dense_ladder, scalar_exp_quadratic_raising, trace_norm_distance
@@ -280,6 +282,89 @@ def test_trace_distance_against_svd_oracle():
     assert got == pytest.approx(trace_norm_distance(a, b), rel=1e-12)
     with pytest.raises(DimensionMismatch):
         trace_distance(DensityMatrix(a), DensityMatrix(np.eye(4) / 4))
+
+
+def _hermitian(rng, dim, complex_part=True):
+    a = rng.normal(size=(dim, dim))
+    if complex_part:
+        a = a + 1j * rng.normal(size=(dim, dim))
+    return (0.5 * (a + a.conj().T)).astype(np.complex128)
+
+
+def _parity(h):
+    h = h.copy()
+    h[0::2, 1::2] = 0
+    h[1::2, 0::2] = 0
+    return h
+
+
+def _eig_cases():
+    """name -> (exactly Hermitian matrix, the (shape, dtype kind) of every
+    np.linalg.eigvalsh call _eigvalsh must make on it)."""
+    rng = np.random.default_rng(7)
+    dim = 12
+    real_dense = _hermitian(rng, dim, complex_part=False)
+    tiny_cross = _parity(real_dense)
+    tiny_cross[2, 5] = tiny_cross[5, 2] = 1e-300
+    cut = coherent_output(0.6 - 0.4j, 0.5, dim).entries.copy()
+    cut[6, 5] = cut[5, 6] = 0
+    coherent = coherent_output(2.0 * np.exp(2.1j), 0.75, 40).entries
+    squeezed = squeezed_output(0.8, 0.5, 30).entries
+    return {
+        "zero": (np.zeros((dim, dim), dtype=np.complex128), []),
+        "diagonal": (np.diag(rng.normal(size=dim)).astype(np.complex128), []),
+        "real_parity": (_parity(real_dense), [((6, 6), "f")] * 2),
+        "real_dense": (real_dense, [((dim, dim), "f")]),
+        "complex_parity": (_parity(_hermitian(rng, dim)), [((6, 6), "c")] * 2),
+        "coherent": (0.5 * (coherent + coherent.conj().T), [((40, 40), "f")]),
+        "squeezed": (0.5 * (squeezed + squeezed.conj().T), [((15, 15), "f")] * 2),
+        "generic_complex": (_hermitian(rng, dim), [((dim, dim), "c")]),
+        "tiny_cross_parity": (tiny_cross, [((dim, dim), "f")]),
+        "zero_subdiagonal": (cut, [((dim, dim), "c")]),
+    }
+
+
+@pytest.mark.parametrize("name", [
+    "zero", "diagonal", "real_parity", "real_dense", "complex_parity", "coherent",
+    "squeezed", "generic_complex", "tiny_cross_parity", "zero_subdiagonal",
+])
+def test_structured_eigvalsh_matches_dense(monkeypatch, name):
+    h, expected_calls = _eig_cases()[name]
+    dense_eigvalsh = np.linalg.eigvalsh
+    dense = dense_eigvalsh(h)
+    calls = []
+
+    def spy(a):
+        calls.append((a.shape, a.dtype.kind))
+        return dense_eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    got = _eigvalsh(h.copy())
+    assert calls == expected_calls
+    assert np.all(np.diff(got) >= 0)
+    scale = max(np.abs(dense).max(), 1.0)
+    assert np.abs(got - dense).max() <= 1e-13 * scale
+
+
+def test_phase_reduction_is_certified_on_coherent_output():
+    dim = 40
+    rho = coherent_output(2.0 * np.exp(2.1j), 0.75, dim).entries
+    h = 0.5 * (rho + rho.conj().T)
+    _eigvalsh(h)  # leaves R = D' h D in h
+    assert np.all(np.diagonal(h, -1).real > 0)
+    assert math.sqrt(dim) * np.linalg.norm(h.imag) <= 1e-14
+
+
+def test_metrics_leave_their_inputs_untouched():
+    coherent = coherent_output(1.5 * np.exp(0.4j), 0.5, 24)
+    squeezed = squeezed_output(0.6, 0.5, 24)
+    before = [coherent.entries.copy(), squeezed.entries.copy()]
+    state_metrics(coherent)
+    state_metrics(squeezed)
+    trace_distance(coherent, squeezed)
+    trace_distance(squeezed, coherent)
+    np.testing.assert_array_equal(coherent.entries, before[0])
+    np.testing.assert_array_equal(squeezed.entries, before[1])
 
 
 def test_default_cutoff_rule():
