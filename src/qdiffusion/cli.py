@@ -47,7 +47,7 @@ from .channel import (
     evolve_via_p_integral,
     kraus_evolve,
     number_output,
-    resolve_squeezed_sign,
+    resolve_squeezed_sign,  # noqa: F401 -- perfbench/spans.py wraps cli.resolve_squeezed_sign
     squeezed_output,
 )
 from .phase_space import PFunctionAnalytic, p_coherent_evolved
@@ -302,7 +302,8 @@ def _run_cell(cfg: ScenarioConfig, rho0: DensityMatrix, route: str, tau: float,
     elif route == "closed_form":
         state = _closed_form(cfg.input, tau, dim)
         if cfg.input.kind == "squeezed_vacuum" and tau > 0:
-            extra["sign_resolution"] = resolve_squeezed_sign(cfg.input.squeeze, tau, dim)
+            # the unsigned body's vacuum entry sech(r)/sqrt(G) is positive
+            extra["sign_resolution"] = 1 if state.entries[0, 0].real > 0 else -1
     elif route == "p_integral":
         state = evolve_via_p_integral(
             PFunctionAnalytic.delta(cfg.input.z), tau, cfg.grid, dim
@@ -371,65 +372,68 @@ def run_scenario(cfg: ScenarioConfig) -> EvolutionReport:
 
     Cells run in (tau, route) order; the ode_oracle route integrates once
     along the ascending taus, each cell continuing from the previous one.
+    Each tau's route pairs are compared right after its cells, so only one
+    tau's states are held at a time.
     """
     dim = cfg.cutoff_dim
     rho0 = density_from_vector(state_vector(cfg.input, dim), label="input")
 
-    states = {}
     results = []
+    pairwise = []
     timings = {}
     failures = []
+    pair_failures = []  # reported after every cell failure
     oracle_start = (0.0, rho0)
     t_start = time.perf_counter()
-    for tau, route in itertools.product(cfg.tau_values, cfg.routes):
-        t0 = time.perf_counter()
-        state, extra = _run_cell(cfg, rho0, route, tau, oracle_start)
-        elapsed = time.perf_counter() - t0
-        if route == "ode_oracle":
-            oracle_start = (tau, state)
-        states[(tau, route)] = state
-        metrics = state_metrics(state)
-        trace_tol = TRACE_TOL_QUADRATURE if route in QUADRATURE_ROUTES else TRACE_TOL
-        psd_tol = PSD_TOL_QUADRATURE if route in QUADRATURE_ROUTES else PSD_TOL
-        entry = {
-            "tau": tau,
-            "route": route,
-            "trace": metrics.trace,
-            "mean_photon": metrics.mean_photon,
-            "purity": metrics.purity,
-            "min_eigenvalue": metrics.min_eigenvalue,
-            "hermiticity_residual": metrics.hermiticity_residual,
-            "truncation_loss": abs(1.0 - metrics.trace),
-        }
-        entry.update(extra)
-        results.append(entry)
-        timings[f"{route}@tau={tau:g}"] = elapsed
-        if abs(metrics.trace - 1.0) > trace_tol:
-            failures.append(
-                f"trace of {route} at tau={tau:g} deviates by "
-                f"{abs(metrics.trace - 1.0):.3e} > {trace_tol:.1e}"
-            )
-        if metrics.min_eigenvalue < -psd_tol * dim:
-            failures.append(
-                f"min eigenvalue of {route} at tau={tau:g} is "
-                f"{metrics.min_eigenvalue:.3e} < -{psd_tol:.1e}*dim"
-            )
-
-    pairwise = []
     for tau in cfg.tau_values:
-        for i, ra in enumerate(cfg.routes):
-            for rb in cfg.routes[i + 1:]:
-                dist = trace_distance(states[(tau, ra)], states[(tau, rb)])
-                quad = ra in QUADRATURE_ROUTES or rb in QUADRATURE_ROUTES
-                tol = PAIR_TOL_QUADRATURE if quad else PAIR_TOL
-                pairwise.append(
-                    {"tau": tau, "route_a": ra, "route_b": rb, "trace_distance": dist}
+        states = {}
+        for route in cfg.routes:
+            t0 = time.perf_counter()
+            state, extra = _run_cell(cfg, rho0, route, tau, oracle_start)
+            elapsed = time.perf_counter() - t0
+            if route == "ode_oracle":
+                oracle_start = (tau, state)
+            states[route] = state
+            metrics = state_metrics(state)
+            trace_tol = TRACE_TOL_QUADRATURE if route in QUADRATURE_ROUTES else TRACE_TOL
+            psd_tol = PSD_TOL_QUADRATURE if route in QUADRATURE_ROUTES else PSD_TOL
+            entry = {
+                "tau": tau,
+                "route": route,
+                "trace": metrics.trace,
+                "mean_photon": metrics.mean_photon,
+                "purity": metrics.purity,
+                "min_eigenvalue": metrics.min_eigenvalue,
+                "hermiticity_residual": metrics.hermiticity_residual,
+                "truncation_loss": abs(1.0 - metrics.trace),
+            }
+            entry.update(extra)
+            results.append(entry)
+            timings[f"{route}@tau={tau:g}"] = elapsed
+            if abs(metrics.trace - 1.0) > trace_tol:
+                failures.append(
+                    f"trace of {route} at tau={tau:g} deviates by "
+                    f"{abs(metrics.trace - 1.0):.3e} > {trace_tol:.1e}"
                 )
-                if dist > tol:
-                    failures.append(
-                        f"trace distance {ra}|{rb} at tau={tau:g} is "
-                        f"{dist:.3e} > {tol:.1e}"
-                    )
+            if metrics.min_eigenvalue < -psd_tol * dim:
+                failures.append(
+                    f"min eigenvalue of {route} at tau={tau:g} is "
+                    f"{metrics.min_eigenvalue:.3e} < -{psd_tol:.1e}*dim"
+                )
+
+        for ra, rb in itertools.combinations(cfg.routes, 2):
+            dist = trace_distance(states[ra], states[rb])
+            quad = ra in QUADRATURE_ROUTES or rb in QUADRATURE_ROUTES
+            tol = PAIR_TOL_QUADRATURE if quad else PAIR_TOL
+            pairwise.append(
+                {"tau": tau, "route_a": ra, "route_b": rb, "trace_distance": dist}
+            )
+            if dist > tol:
+                pair_failures.append(
+                    f"trace distance {ra}|{rb} at tau={tau:g} is "
+                    f"{dist:.3e} > {tol:.1e}"
+                )
+    failures += pair_failures
 
     timings["total"] = time.perf_counter() - t_start
     report = EvolutionReport(
@@ -480,8 +484,8 @@ def run_scenario(cfg: ScenarioConfig) -> EvolutionReport:
             if tau == 0:
                 continue  # the P-function is a delta spike at tau = 0
             lines = ["re_alpha,im_alpha,p_value"]
-            for alpha in nodes:
-                val = p_coherent_evolved(alpha, cfg.input.z, tau)
+            values = p_coherent_evolved(nodes, cfg.input.z, tau)
+            for alpha, val in zip(nodes, values):
                 lines.append(
                     f"{_format_float(alpha.real)},{_format_float(alpha.imag)},"
                     f"{_format_float(val)}"

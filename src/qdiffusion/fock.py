@@ -203,8 +203,6 @@ def _exp_raising(mu: complex, dim: int) -> np.ndarray:
     E[i, j] = E[i-1, j] * mu * sqrt(i) / (i - j).
     """
     e = np.eye(dim, dtype=np.complex128)
-    if mu == 0:
-        return e
     for i in range(1, dim):
         j = np.arange(i)
         e[i, :i] = e[i - 1, :i] * (mu * math.sqrt(i)) / (i - j)
@@ -216,12 +214,11 @@ def _exp_quadratic_raising(c: float, dim: int) -> np.ndarray:
     built for every column j at once along the (-2k)-th diagonal by
     E[j+2k, j] = E[j+2k-2, j] * c * sqrt((j+2k)(j+2k-1)) / k."""
     e = np.eye(dim)
-    if c != 0:
-        band = np.ones(dim)
-        for k in range(1, (dim - 1) // 2 + 1):
-            i = np.arange(2 * k, dim)
-            band = band[: i.size] * c * np.sqrt(i * (i - 1)) / k
-            e[i, i - 2 * k] = band
+    band = np.ones(dim)
+    for k in range(1, (dim - 1) // 2 + 1):
+        i = np.arange(2 * k, dim)
+        band = band[: i.size] * c * np.sqrt(i * (i - 1)) / k
+        e[i, i - 2 * k] = band
     return e.astype(np.complex128)
 
 

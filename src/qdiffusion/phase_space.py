@@ -64,15 +64,15 @@ class PFunctionAnalytic:
     def __call__(self, alpha: np.ndarray) -> np.ndarray:
         if self.kind == "delta":
             raise ValueError("delta P-function has no pointwise values")
-        alpha = np.asarray(alpha)
-        return np.exp(-np.abs(alpha - self.center) ** 2 / self.variance) / self.variance
+        return p_coherent_evolved(alpha, self.center, self.variance)
 
 
-def p_coherent_evolved(alpha: complex, z: complex, tau: float) -> float:
-    """P-function of a diffused coherent state: (1/tau) exp(-|z-alpha|^2/tau)."""
+def p_coherent_evolved(alpha: Union[complex, np.ndarray], z: complex, tau: float) -> np.ndarray:
+    """P-function of a diffused coherent state, (1/tau) exp(-|z-alpha|^2/tau),
+    at every alpha of an array (or one scalar)."""
     if tau <= 0:
         raise ZeroTime("the evolved P-function is a delta spike at tau = 0")
-    return float(np.exp(-abs(complex(z) - complex(alpha)) ** 2 / tau) / tau)
+    return np.exp(-np.abs(complex(z) - np.asarray(alpha)) ** 2 / tau) / tau
 
 
 def integrate_with_refinement(
@@ -188,10 +188,6 @@ def p_from_rho_mehta(
     return complex(math.exp(abs(alpha) ** 2) * (weights * vals).sum() / np.pi)
 
 
-def _p_gaussian_values(alphas: np.ndarray, z: complex, tau: float) -> np.ndarray:
-    return np.exp(-np.abs(complex(z) - np.asarray(alphas)) ** 2 / tau) / tau
-
-
 def diffusion_pde_residual(
     z: complex,
     tau_list,
@@ -221,17 +217,17 @@ def diffusion_pde_residual(
     worst = 0.0
     for tau in taus:
         dp_dtau = (
-            -_p_gaussian_values(alphas, z, tau + 2 * h)
-            + 8.0 * _p_gaussian_values(alphas, z, tau + h)
-            - 8.0 * _p_gaussian_values(alphas, z, tau - h)
-            + _p_gaussian_values(alphas, z, tau - 2 * h)
+            -p_coherent_evolved(alphas, z, tau + 2 * h)
+            + 8.0 * p_coherent_evolved(alphas, z, tau + h)
+            - 8.0 * p_coherent_evolved(alphas, z, tau - h)
+            + p_coherent_evolved(alphas, z, tau - 2 * h)
         ) / (12.0 * h)
-        center = _p_gaussian_values(alphas, z, tau)
+        center = p_coherent_evolved(alphas, z, tau)
         lap = (
-            _p_gaussian_values(alphas + h, z, tau)
-            + _p_gaussian_values(alphas - h, z, tau)
-            + _p_gaussian_values(alphas + 1j * h, z, tau)
-            + _p_gaussian_values(alphas - 1j * h, z, tau)
+            p_coherent_evolved(alphas + h, z, tau)
+            + p_coherent_evolved(alphas - h, z, tau)
+            + p_coherent_evolved(alphas + 1j * h, z, tau)
+            + p_coherent_evolved(alphas - 1j * h, z, tau)
             - 4.0 * center
         ) / (h * h)
         residual = float(np.max(np.abs(dp_dtau - 0.25 * lap)))
@@ -249,7 +245,7 @@ def diffusion_pde_residual_analytic(z: complex, tau: float, grid: ComplexGrid) -
         raise ZeroTime("analytic residual needs tau > 0")
     nodes, _ = grid.nodes_weights()
     alphas = complex(z) + nodes
-    p = _p_gaussian_values(alphas, z, tau)
+    p = p_coherent_evolved(alphas, z, tau)
     r2 = np.abs(complex(z) - alphas) ** 2
     lhs = p * (r2 / tau**2 - 1.0 / tau)
     rhs = p * (r2 - tau) / tau**2

@@ -117,7 +117,7 @@ def test_criterion_01_kraus_completeness_bound():
     # residual is ~1.9e-3.  Asserted as stated; expected to fail.
     ks = build_kraus_set(0.25, 12, 32)
     residual = completeness_residual(ks)
-    level0 = 1.0 - ks.gram[0, 0].real
+    level0 = 1.0 - ks.gram[0]
     ok = residual <= 1e-8
     _report(1, ok, f"interior-block residual {residual:.3e} vs stated 1e-8 "
                    f"(level-0 deficiency {level0:.3e} matches the geometric rate)")

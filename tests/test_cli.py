@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qdiffusion import cli
+from qdiffusion.channel import resolve_squeezed_sign
 from qdiffusion.cli import main, parse_config, run_scenario
 from qdiffusion.errors import SchemaError, UnsupportedRouteForInput
 from qdiffusion.fock import density_from_vector, state_vector
@@ -168,6 +169,22 @@ def test_run_scenario_squeezed_records_sign(tmp_path):
     assert abs(closed["trace"] - 1.0) < 1e-6
 
 
+@pytest.mark.parametrize("squeeze", [0.5, -0.5, 1.5, -1.5])
+def test_sign_resolution_read_from_cell_matches_resolved_sign(tmp_path, squeeze):
+    # dim 96: at dim 64 the |squeeze| 1.5 body keeps trace 0.99694 at tau 4,
+    # which no sign resolves
+    taus = [0.25, 1.0, 4.0]
+    cfg = parse_config(json.dumps({
+        "input": {"kind": "squeezed_vacuum", "squeeze": squeeze},
+        "tau_values": taus,
+        "routes": ["closed_form"],
+        "cutoff_dim": 96,
+        "output_dir": str(tmp_path / "out"),
+    }))
+    signs = [e["sign_resolution"] for e in run_scenario(cfg).results]
+    assert signs == [resolve_squeezed_sign(squeeze, tau, 96) for tau in taus]
+
+
 def test_report_determinism_excluding_timings(tmp_path):
     base = dict(
         MINIMAL,
@@ -279,6 +296,28 @@ def test_exit_code_tolerance_failure(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cell_failures_are_listed_before_pair_failures(tmp_path):
+    # Kraus order 2 loses trace at both taus, and cutoff 24 loses 5.5e-6 of
+    # the closed form at tau 1, so cells and pairs fail at both taus
+    cfg = parse_config(json.dumps({
+        "input": {"kind": "coherent", "z": 1.0},
+        "tau_values": [0.5, 1.0],
+        "routes": ["kraus", "closed_form"],
+        "cutoff_dim": 24,
+        "kraus_max_index": 2,
+        "output_dir": str(tmp_path / "out"),
+    }))
+    failures = run_scenario(cfg).checks["failures"]
+    heads = [f.split(" deviates")[0].split(" is ")[0] for f in failures]
+    assert heads == [
+        "trace of kraus at tau=0.5",
+        "trace of kraus at tau=1",
+        "trace of closed_form at tau=1",
+        "trace distance kraus|closed_form at tau=0.5",
+        "trace distance kraus|closed_form at tau=1",
+    ]
+
+
 def test_exit_code_truncation_loss(tmp_path, capsys):
     cfg = _write_config(tmp_path, {
         "input": {"kind": "coherent", "z": 2.0},
@@ -383,6 +422,25 @@ def test_tiny_tau_ends_in_documented_exit_code(tmp_path, capsys, kind, route, ta
         warnings.simplefilter("error", RuntimeWarning)
         assert main(["run", "--config", str(cfg)]) == code
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("coherent", "cross-element route output trace is nan"),
+    ("number2", "cross-element route output trace is nan"),
+    ("squeezed", "cross-element route: unsigned trace nan"),
+])
+def test_nan_output_names_its_route(tmp_path, capsys, kind, message):
+    # at tau = 5e-324, 1/tau overflows and the cross element evaluates inf - inf
+    inputs = dict(TINY_TAU_INPUTS, number2={"kind": "number", "l": 2})
+    cfg = _write_config(tmp_path, {
+        "input": inputs[kind],
+        "tau_values": [5e-324],
+        "routes": ["husimi_integral"],
+        "cutoff_dim": 40,
+        "output_dir": str(tmp_path / "out"),
+    })
+    assert main(["run", "--config", str(cfg)]) == 5
+    assert message in capsys.readouterr().err
 
 
 def test_memory_error_exits_five(tmp_path, capsys, monkeypatch):

@@ -47,6 +47,16 @@ def test_p_coherent_evolved_values():
         p_coherent_evolved(0.0, 0.0, 0.0)
 
 
+def test_p_coherent_evolved_on_node_array():
+    z, tau = 0.7 - 0.4j, 0.35
+    nodes = ComplexGrid(3.0, 16).nodes_weights()[0].reshape(16, 16)
+    values = p_coherent_evolved(nodes, z, tau)
+    assert values.shape == nodes.shape
+    for alpha, value in zip(nodes.ravel(), values.ravel()):
+        expected = math.exp(-abs(z - alpha) ** 2 / tau) / tau
+        assert value == pytest.approx(expected, rel=1e-13)
+
+
 def test_p_coherent_evolved_normalized():
     res = quadrature_2d(
         lambda a: np.exp(-np.abs(1.0 - a) ** 2 / 0.5) / 0.5, ComplexGrid(7.0, 64)
