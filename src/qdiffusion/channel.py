@@ -273,7 +273,7 @@ def _unit_trace_sign(trace: float, context: str) -> int:
 
 
 def _signed_squeezed_body(lambda_: float, tau: float, dim: int) -> tuple:
-    """(sign, body) of the squeezed output: the unsigned body sech(r)/sqrt(G)
+    """(sign, sign * body) of the squeezed output: the unsigned body sech(r)/sqrt(G)
     e^{(tanh r/2G) a'^2} (1 + c)^(a'a) e^{(tanh r/2G) a^2}
     with G = (tau+1)^2 - tau^2 tanh^2 r and c = (tau+1)/(G tau) - 1/tau,
     and the one sign that gives it unit trace."""
@@ -281,12 +281,12 @@ def _signed_squeezed_body(lambda_: float, tau: float, dim: int) -> tuple:
     big_g = (tau + 1.0) ** 2 - tau**2 * th**2
     c = (tau + 1.0) / (big_g * tau) - 1.0 / tau
     kernel = quadratic_kernel(th / (2.0 * big_g), 1.0 + c, dim)
-    body = (1.0 / math.cosh(lambda_)) / math.sqrt(big_g) * kernel
+    scale = (1.0 / math.cosh(lambda_)) / math.sqrt(big_g)
     sign = _unit_trace_sign(
-        float(np.trace(body).real),
+        scale * float(np.trace(kernel).real),
         f"squeezed closed form at lambda={lambda_}, tau={tau}, dim={dim}",
     )
-    return sign, body
+    return sign, (sign * scale) * kernel
 
 
 def resolve_squeezed_sign(lambda_: float, tau: float, dim: int) -> int:
@@ -311,8 +311,7 @@ def squeezed_output(lambda_: float, tau: float, dim: int) -> DensityMatrix:
         return density_from_vector(
             state_vector(StateSpec.squeezed_vacuum(lambda_), dim), label="closed_form"
         )
-    sign, body = _signed_squeezed_body(lambda_, tau, dim)
-    rho = sign * body
+    rho = _signed_squeezed_body(lambda_, tau, dim)[1]
     _check_trace(rho, "squeezed closed form")
     return DensityMatrix(rho, label="closed_form")
 
@@ -346,7 +345,7 @@ def evolve_via_p_integral(
         kernel = ordered_gaussian_kernel(
             lam=-1.0 / (tau + 1.0),
             mu=z / (1.0 + tau),
-            nu=np.conjugate(z) / (1.0 + tau),
+            nu=z.conjugate() / (1.0 + tau),
             dim=dim,
         )
         rho = (math.exp(-abs(z) ** 2 / (tau + 1.0)) / (tau + 1.0)) * kernel
@@ -376,8 +375,10 @@ def evolve_via_p_integral(
 def _require_matching_state(rho0: DensityMatrix, spec: StateSpec, dim: int) -> None:
     if rho0.dim != dim:
         raise DimensionMismatch(f"state dim {rho0.dim} != requested dim {dim}")
-    expected = density_from_vector(state_vector(spec, dim))
-    if float(np.max(np.abs(rho0.entries - expected.entries))) > 1e-8:
+    v = state_vector(spec, dim)
+    diff = np.outer(v, v.conj())
+    diff -= rho0.entries
+    if float(np.max(np.abs(diff))) > 1e-8:
         raise UnsupportedInput(
             "the cross-element route only evaluates coherent, number, or "
             "squeezed-vacuum projectors, and rho0 does not match the spec"
@@ -453,9 +454,12 @@ def evolve_via_husimi_integral(
         # coefficient; f eta^2 and g xi^2 give the a^2 and a'^2 coefficients,
         # which are equal because f = g and eta_op^2 = xi_op^2
         body = quadratic_kernel(g * xi_op**2 / denom, 1.0 + lam, dim)
-        unsigned = (1.0 / math.cosh(spec.squeeze) / tau) * body / math.sqrt(denom)
-        sign = _unit_trace_sign(float(np.trace(unsigned).real), "cross-element route")
-        rho = sign * unsigned
+        # the sign is read from the trace before the matrix is scaled: at
+        # tau ~ 5e-324 the scale is NaN and must not meet the exact zeros
+        # between the parity blocks
+        scale = (1.0 / math.cosh(spec.squeeze) / tau) / math.sqrt(denom)
+        sign = _unit_trace_sign(scale * float(np.trace(body).real), "cross-element route")
+        rho = (sign * scale) * body
 
     _check_trace(rho, "cross-element route")
     return DensityMatrix(rho, label="husimi_integral")

@@ -4,7 +4,10 @@ Everything lives on the basis |0>, ..., |dim-1>.  Two kernels realize the
 normally ordered exponentials every closed-form channel output is built from:
 the ordered Gaussian kernel :exp[lam a'a + mu a' + nu a]: as the concrete
 matrix exp(mu a') (1+lam)^(a'a) exp(nu a), and the quadratic kernel
-exp(q a'^2) x^(a'a) exp(q a^2) of the squeezed states.
+exp(q a'^2) x^(a'a) exp(q a^2) of the squeezed states.  Both are float64
+products: the ordered kernel moves the phases of mu and nu out of its real
+triangles (one real matmul when lam is real and nu = conj(mu)), and the
+quadratic kernel multiplies its even and odd parity blocks apart.
 """
 
 from dataclasses import dataclass
@@ -196,54 +199,83 @@ def ladder_diagonal(d: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def _exp_raising(mu: complex, dim: int) -> np.ndarray:
-    """exp(mu a') as a lower-triangular matrix; exact since a' is nilpotent.
+def _exp_raising(x: float, dim: int) -> np.ndarray:
+    """exp(x a') for real x as a float64 lower triangle; exact since a' is
+    nilpotent.
 
-    E[i, j] = mu^(i-j) sqrt(i!/j!) / (i-j)!  built by the row recurrence
-    E[i, j] = E[i-1, j] * mu * sqrt(i) / (i - j).
+    E[i, j] = x^(i-j) sqrt(i!/j!) / (i-j)!  built by the row recurrence
+    E[i, j] = E[i-1, j] * x * sqrt(i) / (i - j).
     """
-    e = np.eye(dim, dtype=np.complex128)
+    e = np.eye(dim)
     for i in range(1, dim):
         j = np.arange(i)
-        e[i, :i] = e[i - 1, :i] * (mu * math.sqrt(i)) / (i - j)
+        e[i, :i] = e[i - 1, :i] * (x * math.sqrt(i)) / (i - j)
     return e
 
 
 def _exp_quadratic_raising(c: float, dim: int) -> np.ndarray:
-    """exp(c a'^2) for real c; entries E[j+2k, j] = c^k/k! sqrt((j+2k)!/j!),
-    built for every column j at once along the (-2k)-th diagonal by
-    E[j+2k, j] = E[j+2k-2, j] * c * sqrt((j+2k)(j+2k-1)) / k."""
+    """exp(c a'^2) for real c as float64; entries E[j+2k, j] = c^k/k!
+    sqrt((j+2k)!/j!), built for every column j at once along the (-2k)-th
+    diagonal by E[j+2k, j] = E[j+2k-2, j] * c * sqrt((j+2k)(j+2k-1)) / k."""
     e = np.eye(dim)
     band = np.ones(dim)
     for k in range(1, (dim - 1) // 2 + 1):
         i = np.arange(2 * k, dim)
         band = band[: i.size] * c * np.sqrt(i * (i - 1)) / k
         e[i, i - 2 * k] = band
-    return e.astype(np.complex128)
+    return e
+
+
+def _powers(w: complex, dim: int) -> np.ndarray:
+    """w^n for n < dim by repeated multiplication (more accurate than
+    exp(1j n angle(w)) for a unit phase, and NaN passes through quietly)."""
+    p = np.full(dim, w, dtype=np.complex128)
+    p[0] = 1.0
+    return np.cumprod(p, out=p)
 
 
 def ordered_gaussian_kernel(lam: complex, mu: complex, nu: complex, dim: int) -> np.ndarray:
     """Matrix for the normally ordered exponential :exp[lam a'a + mu a' + nu a]:.
 
-    Factorizes as exp(mu a') (1+lam)^(a'a) exp(nu a).  lam = -1 is the
-    vacuum-projector limit (the diagonal factor collapses to |0><0|).
+    Factorizes as exp(mu a') (1+lam)^(a'a) exp(nu a).  Phase covariance moves
+    the phases u = mu/|mu| and v = nu/|nu| (1 at 0) out of the triangles:
+    K = diag(u^n) E(|mu|) diag(w^k) E(|nu|)' diag(v^n) with w = (1+lam) u* v*
+    and E = exp(x a') real.  The real part of diag(w^k) costs one float64
+    product; only a complex w^k (lam not real or nu != conj(mu)) adds a second
+    for its imaginary part.  lam = -1 is the vacuum-projector limit (the
+    diagonal factor collapses to |0><0|).
     """
     _validate_dim(dim)
+    lam, mu, nu = complex(lam), complex(mu), complex(nu)
+    # Python scalars: a NaN mu (tau ~ 5e-324) must reach the caller's trace check
+    u = mu / abs(mu) if mu else 1.0
+    v = nu / abs(nu) if nu else 1.0
     with np.errstate(invalid="raise"):
-        diag = np.power(1.0 + complex(lam), np.arange(dim))
-        e_up = _exp_raising(mu, dim)
-        e_down = _exp_raising(nu, dim).T
-        return (e_up * diag[None, :]) @ e_down
+        middle = _powers((1.0 + lam) * (u * v).conjugate(), dim)
+        e_mu = _exp_raising(abs(mu), dim)
+        e_nu = e_mu if abs(nu) == abs(mu) else _exp_raising(abs(nu), dim)
+        core = (e_mu * middle.real) @ e_nu.T
+        if np.any(middle.imag):
+            core = core + 1j * ((e_mu * middle.imag) @ e_nu.T)
+        kernel = np.multiply(core, _powers(u, dim)[:, None])
+        kernel *= _powers(v, dim)
+    return kernel
 
 
 def quadratic_kernel(quad: float, ratio: float, dim: int) -> np.ndarray:
     """exp(quad a'^2) ratio^(a'a) exp(quad a^2) for real quad, the normally
     ordered exponential :exp[(ratio-1) a'a + quad (a'^2 + a^2)]:.  exp(quad a^2)
-    is the transpose of exp(quad a'^2), so one triangle is built."""
+    is the transpose of exp(quad a'^2), so one triangle is built; it links
+    only levels of equal parity, so the even and odd blocks are two float64
+    products and every even-odd entry is exactly 0."""
     _validate_dim(dim)
     up = _exp_quadratic_raising(quad, dim)
     diag = ratio ** np.arange(dim)
-    return (up * diag[None, :]) @ up.T
+    kernel = np.zeros((dim, dim), dtype=np.complex128)
+    for p in (0, 1):
+        block = up[p::2, p::2]
+        kernel.real[p::2, p::2] = (block * diag[p::2]) @ block.T
+    return kernel
 
 
 @dataclass(frozen=True)

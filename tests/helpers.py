@@ -67,6 +67,31 @@ def scalar_exp_quadratic_raising(c: float, dim: int) -> np.ndarray:
     return e
 
 
+def hermitian_kernel_entry(i: int, j: int, mu: complex, tau: float) -> complex:
+    """Entry [i, j] of :exp[-a'a/(tau+1) + mu a' + conj(mu) a]: as the scalar
+    sum (mu/|mu|)^(i-j) sum_k |mu|^(i+j-2k) d^k sqrt(i! j!) / (k! (i-k)! (j-k)!)
+    with d = tau/(tau+1).  Every term is positive, so each is formed from
+    log-gammas and the terms are summed with math.fsum, which rounds once."""
+    r = abs(mu)
+    phase = (mu / r) ** (i - j) if r else 1.0
+    half = 0.5 * (math.lgamma(i + 1) + math.lgamma(j + 1))
+    terms = []
+    for k in range(min(i, j) + 1):
+        power = i + j - 2 * k
+        if power and not r:
+            continue
+        log_term = (
+            (power * math.log(r) if power else 0.0)
+            + k * math.log(tau / (tau + 1.0))
+            + half
+            - math.lgamma(k + 1)
+            - math.lgamma(i - k + 1)
+            - math.lgamma(j - k + 1)
+        )
+        terms.append(math.exp(log_term))
+    return math.fsum(terms) * phase
+
+
 def dense_kraus(m: int, n: int, tau: float, dim: int) -> np.ndarray:
     """M_{m,n} as the literal product pref a'^m (1+tau)^(-a'a) a^n of dense
     matrix powers."""

@@ -28,7 +28,12 @@ from qdiffusion.fock import (
 from qdiffusion.channel import coherent_output, squeezed_output
 from qdiffusion.phase_space import coherent_column_matrix
 
-from helpers import dense_ladder, scalar_exp_quadratic_raising, trace_norm_distance
+from helpers import (
+    dense_ladder,
+    hermitian_kernel_entry,
+    scalar_exp_quadratic_raising,
+    trace_norm_distance,
+)
 
 
 def test_annihilation_entries():
@@ -176,10 +181,9 @@ def test_kernel_reproduces_coherent_projector():
 
 def test_kernel_matches_double_sum():
     rng = np.random.default_rng(11)
-    dim = 14
-    a = annihilation_matrix(dim)
-    ad = a.conj().T
-    for _ in range(4):
+    for dim in (14, 14, 14, 14, 24):
+        a = annihilation_matrix(dim)
+        ad = a.conj().T
         lam = complex(rng.uniform(-0.9, 1.0), rng.uniform(-0.5, 0.5))
         mu = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         nu = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
@@ -194,6 +198,22 @@ def test_kernel_matches_double_sum():
                 )
         kernel = ordered_gaussian_kernel(lam, mu, nu, dim)
         assert np.max(np.abs(kernel - brute)) < 1e-10
+
+
+@pytest.mark.parametrize("dim", [192, 414])
+@pytest.mark.parametrize("phase", [0.0, 0.7, 2.5, -1.9])
+def test_kernel_at_scale_matches_log_space_sums(dim, phase):
+    # the channel's parameters: lam = -1/(tau+1), nu = conj(mu)
+    tau = 1.0 + phase**2  # 1.0, 1.49, 7.25, 4.61
+    mu = 2.2 * complex(math.cos(phase), math.sin(phase)) / (1.0 + tau)
+    kernel = ordered_gaussian_kernel(-1.0 / (tau + 1.0), mu, mu.conjugate(), dim)
+    rows = sorted({0, 1, dim // 3, dim // 2, dim - 1})
+    # atol only covers the far corners, which underflow to subnormals at dim 414
+    for i in rows:
+        expected = [hermitian_kernel_entry(i, j, mu, tau) for j in range(dim)]
+        np.testing.assert_allclose(kernel[i], expected, rtol=2e-12, atol=1e-250)
+    expected = [hermitian_kernel_entry(i, i, mu, tau) for i in range(dim)]
+    np.testing.assert_allclose(np.diagonal(kernel), expected, rtol=2e-12, atol=1e-250)
 
 
 @pytest.mark.parametrize("dim", [2, 3, 64, 193])
@@ -216,6 +236,7 @@ def test_quadratic_kernel_matches_dense_series(quad, ratio):
     expected = up @ np.diag(ratio ** np.arange(dim)) @ up.T
     kernel = quadratic_kernel(quad, ratio, dim)
     assert np.max(np.abs(kernel - expected)) < 1e-13 * np.max(np.abs(expected))
+    assert not np.any(kernel[0::2, 1::2]) and not np.any(kernel[1::2, 0::2])
 
 
 def test_coherent_columns_match_factorial_formula():
