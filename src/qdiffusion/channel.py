@@ -8,10 +8,11 @@ dimensionless channel time tau >= 0:
   ``number_output`` /
   ``squeezed_output``          -- closed-form evolved states
 * ``evolve_via_p_integral``    -- P-function integral transform (solution 1)
-* ``evolve_via_husimi_integral`` -- cross-element integral transform
-  (solution 2), evaluated through the Gaussian formulas by analytic
-  continuation: its b-integral carries a Gaussian coefficient (tau+1)/tau > 0
-  and is never amenable to raw quadrature.
+* ``evolve_via_husimi_integral(spec, tau, dim)`` -- cross-element integral
+  transform (solution 2) of the projector ``|spec><spec|``, evaluated from
+  the spec through the Gaussian formulas by analytic continuation: its
+  b-integral carries a Gaussian coefficient (tau+1)/tau > 0 and is never
+  amenable to raw quadrature.
 
 The delta P-integral and the cross-element route end in the same normally
 ordered expressions as the closed forms, so their agreement checks the
@@ -32,8 +33,8 @@ from .errors import (
     DimensionMismatch,
     NumberExceedsCutoff,
     SignResolutionFailed,
+    SignTraceTruncated,
     TruncationLoss,
-    UnsupportedInput,
     ZeroTimeNontrivialIndex,
 )
 from .fock import (
@@ -262,10 +263,18 @@ def number_output(l: int, tau: float, dim: int) -> DensityMatrix:
 
 
 def _unit_trace_sign(trace: float, context: str) -> int:
-    """The sign s in {+1, -1} with s * trace within SIGN_TRACE_TOL of 1."""
+    """The sign s in {+1, -1} with s * trace within SIGN_TRACE_TOL of 1.
+
+    A finite nonzero trace of magnitude below 1 - SIGN_TRACE_TOL is mass lost
+    above the cutoff and raises SignTraceTruncated, a TruncationLoss."""
     plus_ok = abs(trace - 1.0) <= SIGN_TRACE_TOL
     minus_ok = abs(-trace - 1.0) <= SIGN_TRACE_TOL
     if plus_ok == minus_ok:
+        if 0.0 < abs(trace) < 1.0 - SIGN_TRACE_TOL:
+            raise SignTraceTruncated(
+                f"{context}: unsigned trace {trace:.6f} is below "
+                f"{1.0 - SIGN_TRACE_TOL} in magnitude; cutoff too small"
+            )
         raise SignResolutionFailed(
             f"{context}: unsigned trace {trace:.6f} admits no unique sign"
         )
@@ -372,26 +381,9 @@ def evolve_via_p_integral(
     return DensityMatrix(rho, label="p_integral")
 
 
-def _require_matching_state(rho0: DensityMatrix, spec: StateSpec, dim: int) -> None:
-    if rho0.dim != dim:
-        raise DimensionMismatch(f"state dim {rho0.dim} != requested dim {dim}")
-    v = state_vector(spec, dim)
-    diff = np.outer(v, v.conj())
-    diff -= rho0.entries
-    if float(np.max(np.abs(diff))) > 1e-8:
-        raise UnsupportedInput(
-            "the cross-element route only evaluates coherent, number, or "
-            "squeezed-vacuum projectors, and rho0 does not match the spec"
-        )
-
-
-def evolve_via_husimi_integral(
-    rho0: DensityMatrix,
-    spec: StateSpec,
-    tau: float,
-    dim: int,
-) -> DensityMatrix:
-    """Integral-form solution 2, driven by the cross element <-b|rho0|b>.
+def evolve_via_husimi_integral(spec: StateSpec, tau: float, dim: int) -> DensityMatrix:
+    """Integral-form solution 2, driven by the cross element <-b|rho0|b> of
+    rho0 = |spec><spec|, which is evaluated in closed form from the spec.
 
     The b-integral has Gaussian coefficient zeta = (tau+1)/tau > 0, so it is
     evaluated exclusively through the Gaussian integral formulas in analytic
@@ -407,9 +399,8 @@ def evolve_via_husimi_integral(
                  unit-trace rule, exactly as for the closed form.
     """
     tau = _validate_tau(tau)
-    _require_matching_state(rho0, spec, dim)
     if tau == 0:
-        return DensityMatrix(rho0.entries.copy(), label="husimi_integral")
+        return density_from_vector(state_vector(spec, dim), label="husimi_integral")
 
     zeta = (tau + 1.0) / tau
     # operator symbols: the b coefficient is xi = a'/tau (+ scalar part),

@@ -52,11 +52,10 @@ from .channel import (
 )
 from .phase_space import PFunctionAnalytic, p_coherent_evolved
 
-ROUTES = ("kraus", "closed_form", "p_integral", "husimi_integral", "ode_oracle")
+#: each route -> whether its results come from grid quadrature (looser tolerances)
+ROUTES = {"kraus": False, "closed_form": False, "p_integral": True,
+          "husimi_integral": False, "ode_oracle": False}
 OUTPUTS = ("report", "pfun_grid", "photon_trajectory")
-
-#: routes whose results come from grid quadrature get the looser tolerances
-QUADRATURE_ROUTES = frozenset({"p_integral"})
 
 TRACE_TOL = 1e-6
 TRACE_TOL_QUADRATURE = 1e-5
@@ -126,7 +125,7 @@ def _parse_real(value, path: str) -> float:
     return float(value)
 
 
-def _parse_int(value, path: str, low: int) -> int:
+def _parse_int(value, path: str, low: int = 0) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < low:
         raise SchemaError(path, f"expected an integer >= {low}")
     return value
@@ -144,22 +143,21 @@ def _parse_complex(value, path: str) -> complex:
     raise SchemaError(path, "expected a finite number or a [re, im] pair")
 
 
+#: the JSON parser of each StateSpec parameter field
+PARAM_PARSERS = {"z": _parse_complex, "l": _parse_int, "squeeze": _parse_real}
+
+
 def _parse_input(obj, path: str) -> StateSpec:
     if not isinstance(obj, dict):
         raise SchemaError(path, "expected an object")
     if "kind" not in obj:
         raise SchemaError(f"{path}.kind", "missing required key")
     kind = obj["kind"]
-    if kind == "coherent":
-        _require_keys(obj, {"kind", "z"}, {"kind", "z"}, path)
-        return StateSpec.coherent(_parse_complex(obj["z"], f"{path}.z"))
-    if kind == "number":
-        _require_keys(obj, {"kind", "l"}, {"kind", "l"}, path)
-        return StateSpec.number(_parse_int(obj["l"], f"{path}.l", 0))
-    if kind == "squeezed_vacuum":
-        _require_keys(obj, {"kind", "squeeze"}, {"kind", "squeeze"}, path)
-        return StateSpec.squeezed_vacuum(_parse_real(obj["squeeze"], f"{path}.squeeze"))
-    raise SchemaError(f"{path}.kind", f"unknown state kind {kind!r}")
+    if not isinstance(kind, str) or kind not in StateSpec.KINDS:
+        raise SchemaError(f"{path}.kind", f"unknown state kind {kind!r}")
+    param = StateSpec.KINDS[kind]
+    _require_keys(obj, {"kind", param}, {"kind", param}, path)
+    return StateSpec(kind, **{param: PARAM_PARSERS[param](obj[param], f"{path}.{param}")})
 
 
 def _resolve_auto_dim(spec: StateSpec, tau_max: float, wants_kraus: bool,
@@ -207,7 +205,7 @@ def parse_config(text: str) -> ScenarioConfig:
     if not isinstance(routes, list) or not routes:
         raise SchemaError("routes", "expected a non-empty list")
     for i, r in enumerate(routes):
-        if r not in ROUTES:
+        if not isinstance(r, str) or r not in ROUTES:
             raise SchemaError(f"routes[{i}]", f"unknown route {r!r}")
     if len(set(routes)) != len(routes):
         raise SchemaError("routes", "duplicate route")
@@ -274,12 +272,10 @@ def parse_config(text: str) -> ScenarioConfig:
     )
 
 
-def _closed_form(spec: StateSpec, tau: float, dim: int) -> DensityMatrix:
-    if spec.kind == "coherent":
-        return coherent_output(spec.z, tau, dim)
-    if spec.kind == "number":
-        return number_output(spec.l, tau, dim)
-    return squeezed_output(spec.squeeze, tau, dim)
+#: each input kind -> the name of its closed form, looked up per call so that
+#: a wrapper bound to this module's attribute sees the call
+CLOSED_FORMS = {"coherent": "coherent_output", "number": "number_output",
+                "squeezed_vacuum": "squeezed_output"}
 
 
 def _run_cell(cfg: ScenarioConfig, rho0: DensityMatrix, route: str, tau: float,
@@ -300,8 +296,10 @@ def _run_cell(cfg: ScenarioConfig, rho0: DensityMatrix, route: str, tau: float,
         extra["completeness_residual"] = completeness_residual(ks)
         extra["kraus_max_index"] = ks.max_index
     elif route == "closed_form":
-        state = _closed_form(cfg.input, tau, dim)
-        if cfg.input.kind == "squeezed_vacuum" and tau > 0:
+        spec = cfg.input
+        closed_form = globals()[CLOSED_FORMS[spec.kind]]
+        state = closed_form(getattr(spec, StateSpec.KINDS[spec.kind]), tau, dim)
+        if spec.kind == "squeezed_vacuum" and tau > 0:
             # the unsigned body's vacuum entry sech(r)/sqrt(G) is positive
             extra["sign_resolution"] = 1 if state.entries[0, 0].real > 0 else -1
     elif route == "p_integral":
@@ -309,7 +307,7 @@ def _run_cell(cfg: ScenarioConfig, rho0: DensityMatrix, route: str, tau: float,
             PFunctionAnalytic.delta(cfg.input.z), tau, cfg.grid, dim
         )
     elif route == "husimi_integral":
-        state = evolve_via_husimi_integral(rho0, cfg.input, tau, dim)
+        state = evolve_via_husimi_integral(cfg.input, tau, dim)
     elif route == "ode_oracle":
         if tau == 0:
             state = DensityMatrix(rho0.entries.copy(), label="ode_oracle")
@@ -360,11 +358,11 @@ def _dump_json_17g(obj, indent: int = 0) -> str:
 
 
 def _echo_input(spec: StateSpec) -> dict:
-    if spec.kind == "coherent":
-        return {"kind": spec.kind, "z": [spec.z.real, spec.z.imag]}
-    if spec.kind == "number":
-        return {"kind": spec.kind, "l": spec.l}
-    return {"kind": spec.kind, "squeeze": spec.squeeze}
+    param = StateSpec.KINDS[spec.kind]
+    value = getattr(spec, param)
+    if isinstance(value, complex):
+        value = [value.real, value.imag]
+    return {"kind": spec.kind, param: value}
 
 
 def run_scenario(cfg: ScenarioConfig) -> EvolutionReport:
@@ -395,8 +393,8 @@ def run_scenario(cfg: ScenarioConfig) -> EvolutionReport:
                 oracle_start = (tau, state)
             states[route] = state
             metrics = state_metrics(state)
-            trace_tol = TRACE_TOL_QUADRATURE if route in QUADRATURE_ROUTES else TRACE_TOL
-            psd_tol = PSD_TOL_QUADRATURE if route in QUADRATURE_ROUTES else PSD_TOL
+            trace_tol = TRACE_TOL_QUADRATURE if ROUTES[route] else TRACE_TOL
+            psd_tol = PSD_TOL_QUADRATURE if ROUTES[route] else PSD_TOL
             entry = {
                 "tau": tau,
                 "route": route,
@@ -423,8 +421,7 @@ def run_scenario(cfg: ScenarioConfig) -> EvolutionReport:
 
         for ra, rb in itertools.combinations(cfg.routes, 2):
             dist = trace_distance(states[ra], states[rb])
-            quad = ra in QUADRATURE_ROUTES or rb in QUADRATURE_ROUTES
-            tol = PAIR_TOL_QUADRATURE if quad else PAIR_TOL
+            tol = PAIR_TOL_QUADRATURE if ROUTES[ra] or ROUTES[rb] else PAIR_TOL
             pairwise.append(
                 {"tau": tau, "route_a": ra, "route_b": rb, "trace_distance": dist}
             )

@@ -5,12 +5,12 @@ class QDiffusionError(Exception):
     """Base class for all qdiffusion errors."""
 
 
-class NumberExceedsCutoff(QDiffusionError):
-    """A Fock level was requested at or above the truncation cutoff."""
-
-
 class TruncationLoss(QDiffusionError):
     """Too much probability mass lies above the chosen cutoff."""
+
+
+class NumberExceedsCutoff(TruncationLoss):
+    """A Fock level was requested at or above the truncation cutoff."""
 
 
 class NotNormalized(QDiffusionError):
@@ -37,7 +37,7 @@ class ZeroTimeNontrivialIndex(QDiffusionError):
     """Only the (0, 0) Kraus operator exists at zero channel time."""
 
 
-class CutoffTooSmall(QDiffusionError):
+class CutoffTooSmall(TruncationLoss):
     """The cutoff cannot accommodate the requested Kraus order."""
 
 
@@ -45,12 +45,13 @@ class SignResolutionFailed(QDiffusionError):
     """Neither overall sign of the squeezed output yields unit trace."""
 
 
+class SignTraceTruncated(SignResolutionFailed, TruncationLoss):
+    """The squeezed output's unsigned trace is finite but short of unit
+    magnitude: mass lost above the cutoff, not a numerical failure."""
+
+
 class QuadratureNotConverged(QDiffusionError):
     """Grid refinement changed the quadrature result beyond tolerance."""
-
-
-class UnsupportedInput(QDiffusionError):
-    """The requested route only supports specific input states."""
 
 
 class StepTooLarge(QDiffusionError):

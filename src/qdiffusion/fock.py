@@ -64,10 +64,11 @@ class StateSpec:
     l: int = 0
     squeeze: float = 0.0
 
-    KINDS = ("coherent", "number", "squeezed_vacuum")
+    #: each kind -> the name of the one parameter field it reads
+    KINDS = {"coherent": "z", "number": "l", "squeezed_vacuum": "squeeze"}
 
     def __post_init__(self):
-        if self.kind not in self.KINDS:
+        if not isinstance(self.kind, str) or self.kind not in self.KINDS:
             raise ValueError(f"unknown state kind {self.kind!r}")
         if self.kind == "number" and (not isinstance(self.l, (int, np.integer)) or self.l < 0):
             raise ValueError("number state level l must be a nonnegative integer")

@@ -89,7 +89,7 @@ def route_states():
             states[(spec, tau)] = {
                 "kraus": kraus_evolve(rho0, kraus_sets[tau]),
                 "closed_form": _closed_form(spec, tau, ROUTE_DIM),
-                "husimi_integral": evolve_via_husimi_integral(rho0, spec, tau, ROUTE_DIM),
+                "husimi_integral": evolve_via_husimi_integral(spec, tau, ROUTE_DIM),
                 "ode_oracle": integrate_master_equation(rho0, 1.0, tau, 0.002),
             }
     return {"states": states, "elapsed": time.perf_counter() - t0}

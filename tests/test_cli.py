@@ -389,6 +389,29 @@ def test_auto_cutoff_leaves_room_for_explicit_kraus_order(tmp_path, kmax, dim):
     assert report["pairwise"][0]["trace_distance"] < 1e-12
 
 
+@pytest.mark.parametrize("input_, route, tau, dim, message", [
+    ({"kind": "squeezed_vacuum", "squeeze": 1.5}, "closed_form", 4.0, 64,
+     "unsigned trace 0.996944 is below 0.999 in magnitude; cutoff too small"),
+    ({"kind": "squeezed_vacuum", "squeeze": 1.5}, "husimi_integral", 4.0, 64,
+     "unsigned trace 0.996944 is below 0.999 in magnitude; cutoff too small"),
+    ({"kind": "number", "l": 5}, "closed_form", 0.5, 8, "need l < dim/2"),
+    ({"kind": "number", "l": 1}, "kraus", 0.5, 8, "dim=8 must exceed max_index=18"),
+], ids=["squeezed-closed_form", "squeezed-husimi_integral", "number-closed_form", "number-kraus"])
+def test_cutoff_too_small_exits_truncation_loss(tmp_path, capsys, input_, route, tau, dim,
+                                                message):
+    # the squeezed body keeps 0.99694 of its mass at dim 64, so neither sign
+    # gives unit trace; the Kraus route takes its "auto" order 18 at tau 0.5
+    cfg = _write_config(tmp_path, {
+        "input": input_,
+        "tau_values": [tau],
+        "routes": [route],
+        "cutoff_dim": dim,
+        "output_dir": str(tmp_path / "out"),
+    })
+    assert main(["run", "--config", str(cfg)]) == 4
+    assert message in capsys.readouterr().err
+
+
 TINY_TAU_INPUTS = {
     "coherent": {"kind": "coherent", "z": 1},
     "number": {"kind": "number", "l": 3},
@@ -535,6 +558,48 @@ JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text
 def test_numeric_fields_fail_only_with_schema_errors(field, value):
     base, path = field
     doc = copy.deepcopy(base)
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    try:
+        parse_config(json.dumps(doc))
+    except (SchemaError, UnsupportedRouteForInput):
+        pass
+
+
+_NAMED = dict(_COHERENT, outputs=["report", "photon_trajectory"])
+
+#: key path in _NAMED of every field that takes a name or "auto"
+NAME_FIELDS = [
+    ("input", "kind"),
+    ("routes", 0),
+    ("routes", 2),
+    ("outputs", 1),
+    ("grid", "rule"),
+    ("cutoff_dim",),
+    ("kraus_max_index",),
+]
+
+#: the schema's own names, so that valid values are drawn too
+SCHEMA_NAMES = st.sampled_from([
+    "coherent", "number", "squeezed_vacuum", *cli.ROUTES, *cli.OUTPUTS,
+    "midpoint", "gauss_legendre_tensor", "auto",
+])
+
+JSON_VALUES = st.recursive(
+    JSON_SCALARS | SCHEMA_NAMES,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4) | SCHEMA_NAMES, inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(path=st.sampled_from(NAME_FIELDS), value=JSON_VALUES)
+def test_name_fields_fail_only_with_schema_errors(path, value):
+    # a JSON list or object looked up in a dict would raise TypeError
+    doc = copy.deepcopy(_NAMED)
     target = doc
     for key in path[:-1]:
         target = target[key]

@@ -133,8 +133,9 @@ def test_truncation_loss_raised():
 
 
 def test_state_spec_validation():
-    with pytest.raises(ValueError):
-        StateSpec(kind="unknown")
+    for kind in ("unknown", ["coherent"]):
+        with pytest.raises(ValueError):
+            StateSpec(kind=kind)
     with pytest.raises(ValueError):
         StateSpec(kind="number", l=-1)
     assert StateSpec.coherent(2.0).input_mean_photon() == pytest.approx(4.0)
